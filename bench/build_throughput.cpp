@@ -5,10 +5,11 @@
 // workers on an 8-device simulated cluster (with wall-time emulation, so
 // a measurement costs real blocking time the way a device kernel does),
 // bit-identity of the parallel Point sets against the serial build, the
-// latency + inverse-time cache hit rate of the partitioners over the
-// built models, and the hint-warm repeat-partition path: the same solve
-// re-run through the warm partitioners with a PartitionHint, which must
-// return identical unit counts at a fraction of the cold latency.
+// latency of the partitioners over the built models (with the hit rate
+// of the inverse-time memo, which only non-closed-form models use), and
+// the hint-warm repeat-partition path: the same solve re-run through the
+// warm partitioners with a PartitionHint, which must return identical
+// unit counts at a fraction of the cold latency.
 //
 // Output: a table on stdout and BENCH_build_throughput.json in the
 // working directory. With --smoke, runs a tiny configuration and exits
@@ -71,8 +72,8 @@ struct PartitionStats {
   bool Ok = true;
 };
 
-/// Times one partitioner cold (fresh caches) and warm (re-run with the
-/// memoized inverse-time lookups populated) and reports the cache rate.
+/// Times one partitioner cold (fresh memos) and warm (an immediate
+/// re-run) and reports the inverse-time memo's hit rate.
 PartitionStats measurePartition(const Partitioner &Algorithm,
                                 std::int64_t Total,
                                 std::span<Model *const> Models) {

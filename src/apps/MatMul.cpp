@@ -25,8 +25,17 @@ enum : int {
 std::vector<double> makeBlock(int MatId, int Row, int Col, int B) {
   std::vector<double> Block(static_cast<std::size_t>(B) *
                             static_cast<std::size_t>(B));
-  std::uint64_t Seed = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(
-                           (MatId * 1048573 + Row) * 1048573 + Col + 1);
+  // The mix wraps modulo 2^32 in unsigned arithmetic (defined behaviour)
+  // and is sign-extended like the int arithmetic it replaces, so the
+  // seeds of every existing block stay the same.
+  const std::uint32_t Prime = 1048573u;
+  std::uint32_t Mix = (static_cast<std::uint32_t>(MatId) * Prime +
+                       static_cast<std::uint32_t>(Row)) *
+                          Prime +
+                      static_cast<std::uint32_t>(Col) + 1u;
+  std::uint64_t Seed =
+      0x9e3779b97f4a7c15ull *
+      static_cast<std::uint64_t>(static_cast<std::int32_t>(Mix));
   fillDeterministic(Block, Seed);
   return Block;
 }

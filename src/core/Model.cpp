@@ -19,6 +19,31 @@ std::atomic<std::uint64_t> NextFitEpoch{1};
 std::uint64_t freshFitEpoch() {
   return NextFitEpoch.fetch_add(1, std::memory_order_relaxed);
 }
+
+/// The default inverse of the time function for T > 0: bracket a
+/// crossing of M.timeAt(x) = T by doubling, then bisect. timeAt is 0 at
+/// x = 0, so once timeAt(Hi) >= T a crossing exists in [0, Hi].
+double bracketedInverse(const Model &M, double T) {
+  double Hi = std::max(1.0, M.points().back().Units);
+  for (int I = 0; I < 200 && M.timeAt(Hi) < T; ++I)
+    Hi *= 2.0;
+  if (M.timeAt(Hi) < T)
+    return Hi; // Degenerate model (e.g. flat extrapolation); saturate.
+  double Lo = 0.0;
+  for (int I = 0; I < 100; ++I) {
+    double Mid = 0.5 * (Lo + Hi);
+    // Mid rounded onto an endpoint: every later step would reassign that
+    // endpoint to itself, so the answer is already final.
+    if (Mid == Lo || Mid == Hi)
+      break;
+    if (M.timeAt(Mid) < T)
+      Lo = Mid;
+    else
+      Hi = Mid;
+  }
+  return 0.5 * (Lo + Hi);
+}
+
 } // namespace
 
 Model::Model() : FitEpoch(freshFitEpoch()) {}
@@ -27,26 +52,6 @@ Model::~Model() = default;
 
 void Model::bumpFitEpoch() {
   FitEpoch.store(freshFitEpoch(), std::memory_order_relaxed);
-}
-
-double Model::sizeForTimeCached(double T) const {
-  const std::uint64_t Key = std::bit_cast<std::uint64_t>(T);
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    ++Lookups;
-    auto It = InverseCache.find(Key);
-    if (It != InverseCache.end()) {
-      ++Hits;
-      return It->second;
-    }
-  }
-  // Compute outside the lock: sizeForTime only reads the fit, and a
-  // concurrent duplicate computation of the same tau is harmless (both
-  // threads insert the identical value).
-  double X = sizeForTime(T);
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  InverseCache.emplace(Key, X);
-  return X;
 }
 
 void Model::timesAt(std::span<const double> Xs, std::span<double> Out) const {
@@ -119,7 +124,7 @@ void Model::update(Point P) {
       Existing.ConfidenceInterval =
           std::max(Existing.ConfidenceInterval, P.ConfidenceInterval);
       Weights[I] = W1 + W2;
-      refitRange(Existing.Units);
+      refitAndInvalidate();
       return;
     }
   }
@@ -130,7 +135,7 @@ void Model::update(Point P) {
   Weights.insert(Weights.begin() + (Pos - Points.begin()),
                  static_cast<double>(P.Reps));
   Points.insert(Pos, P);
-  refitRange(P.Units);
+  refitAndInvalidate();
 }
 
 void Model::refitAndInvalidate() {
@@ -143,39 +148,12 @@ void Model::refitAndInvalidate() {
   bumpFitEpoch();
 }
 
-double Model::invalidationLowerBound(double ChangedUnits) const {
-  (void)ChangedUnits;
-  return 0.0;
-}
-
-void Model::refitRange(double ChangedUnits) {
-  refit();
-  // The bound is computed against the *new* fit (refit() above), which
-  // is conservative: surviving entries resolved to sizes the change
-  // provably cannot reach in either the old or the new curve.
-  double Bound = invalidationLowerBound(ChangedUnits);
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  if (Bound <= 0.0) {
-    Invalidations += InverseCache.size();
-    InverseCache.clear();
-  } else {
-    for (auto It = InverseCache.begin(); It != InverseCache.end();) {
-      if (It->second >= Bound) {
-        It = InverseCache.erase(It);
-        ++Invalidations;
-      } else {
-        ++It;
-      }
-    }
-  }
-  bumpFitEpoch();
-}
-
 void Model::setWeights(std::span<const double> NewWeights) {
   assert(NewWeights.size() == Points.size() &&
          "one weight per stored point expected");
-  for (double W : NewWeights)
-    assert(W > 0.0 && "weights must be positive");
+  assert(std::all_of(NewWeights.begin(), NewWeights.end(),
+                     [](double W) { return W > 0.0; }) &&
+         "weights must be positive");
   Weights.assign(NewWeights.begin(), NewWeights.end());
 }
 
@@ -231,22 +209,22 @@ double Model::sizeForTime(double T) const {
   assert(fitted() && "model has no experimental points");
   if (T <= 0.0)
     return 0.0;
-  // Bracket a crossing of timeAt(x) = T by doubling, then bisect. timeAt
-  // is 0 at x = 0, so once timeAt(Hi) >= T a crossing exists in [0, Hi].
-  double Hi = std::max(1.0, Points.back().Units);
-  for (int I = 0; I < 200 && timeAt(Hi) < T; ++I)
-    Hi *= 2.0;
-  if (timeAt(Hi) < T)
-    return Hi; // Degenerate model (e.g. flat extrapolation); saturate.
-  double Lo = 0.0;
-  for (int I = 0; I < 100; ++I) {
-    double Mid = 0.5 * (Lo + Hi);
-    if (timeAt(Mid) < T)
-      Lo = Mid;
-    else
-      Hi = Mid;
+  const std::uint64_t Key = std::bit_cast<std::uint64_t>(T);
+  {
+    std::lock_guard<std::mutex> Lock(CacheMutex);
+    ++Lookups;
+    auto It = InverseCache.find(Key);
+    if (It != InverseCache.end()) {
+      ++Hits;
+      return It->second;
+    }
   }
-  return 0.5 * (Lo + Hi);
+  // Search outside the lock: it only reads the fit, and a concurrent
+  // duplicate search for the same tau inserts the identical value.
+  double X = bracketedInverse(*this, T);
+  std::lock_guard<std::mutex> Lock(CacheMutex);
+  InverseCache.emplace(Key, X);
+  return X;
 }
 
 //===----------------------------------------------------------------------===//
@@ -361,25 +339,6 @@ double PiecewiseModel::sizeForTime(double T) const {
   std::size_t I = static_cast<std::size_t>(It - Ts.begin()) - 1;
   double Frac = (T - Ts[I]) / (Ts[I + 1] - Ts[I]);
   return Xs[I] + Frac * (Xs[I + 1] - Xs[I]);
-}
-
-double PiecewiseModel::invalidationLowerBound(double ChangedUnits) const {
-  // The coarsening pass is a left-to-right running maximum: a change to
-  // the point at knot I can lift (or lower) Ts[I] and cascade rightward,
-  // but knots strictly left of I and the segments between them are
-  // untouched. Inverse-time entries that resolved to sizes below
-  // Xs[I - 2] therefore still describe the current curve — Xs[I - 1]
-  // would already be safe, the extra knot is margin for the segment that
-  // ends at the changed knot. A change at the first or second knot (or a
-  // model with fewer than three knots) affects the left extrapolation
-  // ray, so everything goes.
-  if (Xs.size() < 3)
-    return 0.0;
-  auto It = std::lower_bound(Xs.begin(), Xs.end(), ChangedUnits);
-  std::size_t I = static_cast<std::size_t>(It - Xs.begin());
-  if (I < 2)
-    return 0.0;
-  return Xs[I - 2];
 }
 
 //===----------------------------------------------------------------------===//

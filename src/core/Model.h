@@ -98,20 +98,14 @@ public:
   virtual double timeDerivative(double X) const;
 
   /// Inverse of the time function: a size whose predicted time is \p T.
-  /// For monotone models this is exact; for non-monotone models a
-  /// bracketed search returns one crossing. Used by the geometric
-  /// partitioner (intersection of the speed function with a line through
-  /// the origin at slope 1/T).
+  /// Used by the geometric partitioner (intersection of the speed
+  /// function with a line through the origin at slope 1/T). Models with
+  /// a closed-form inverse override it exactly. The default is a
+  /// bracketed search that returns one crossing, also on non-monotone
+  /// fits; it costs a few hundred timeAt() calls, so its answers are
+  /// memoized per T until the fit changes (update(), decayWeights()).
+  /// Safe to call concurrently from several partition threads.
   virtual double sizeForTime(double T) const;
-
-  /// Memoized, thread-safe sizeForTime. The geometric bisection and the
-  /// numerical partitioner's geometric warm start re-evaluate the same
-  /// inverse-time lookups (keyed by the candidate completion time tau)
-  /// across calls while the model is unchanged; this caches them. The
-  /// cache is invalidated whenever the fit changes (update(),
-  /// decayWeights()). Safe to call concurrently from several partition
-  /// threads.
-  double sizeForTimeCached(double T) const;
 
   /// Predicted times at many sizes at once (Out.size() == Xs.size()).
   /// The default loops over timeAt(); spline-backed models override it to
@@ -119,15 +113,14 @@ public:
   virtual void timesAt(std::span<const double> Xs,
                        std::span<double> Out) const;
 
-  /// Lifetime lookup/hit counters of the inverse-time cache (lookups =
-  /// hits + misses); exposed for the throughput bench and tests.
+  /// Lifetime lookup/hit counters of the bracketed search's inverse-time
+  /// memo (lookups = hits + misses); exposed for the benches and tests.
+  /// They stay 0 on models whose sizeForTime() is closed-form.
   std::uint64_t cacheLookups() const;
   std::uint64_t cacheHits() const;
 
-  /// Lifetime count of memoized inverse-time entries evicted by fit
-  /// changes — each full wipe adds the number of entries it dropped and
-  /// each ranged invalidation adds only the entries actually erased, so
-  /// the counter is comparable across both paths.
+  /// Lifetime count of memoized inverse-time entries dropped by fit
+  /// changes (each refit adds the number of entries it wiped).
   std::uint64_t cacheInvalidations() const;
 
   /// Drops all memoized inverse-time entries and resets the counters
@@ -160,21 +153,6 @@ protected:
   /// were computed against no longer exists). Advances fitEpoch().
   void refitAndInvalidate();
 
-  /// Refits after a single point at \p ChangedUnits changed, dropping
-  /// only the memoized inverse-time entries the change can affect: the
-  /// model reports the smallest size whose prediction may have moved
-  /// (invalidationLowerBound()) and entries that resolved to smaller
-  /// sizes survive. Advances fitEpoch(). Equivalent to
-  /// refitAndInvalidate() in results, cheaper on incremental feedback.
-  void refitRange(double ChangedUnits);
-
-  /// Smallest size whose predicted time can change when the experimental
-  /// point at \p ChangedUnits does. The default (0) declares the whole
-  /// curve affected — correct for global fits (constant, linear) and
-  /// non-local interpolants (Akima); PiecewiseModel overrides it because
-  /// its coarsening only cascades rightward.
-  virtual double invalidationLowerBound(double ChangedUnits) const;
-
   /// Stamps a fresh process-wide unique value into fitEpoch(). Called by
   /// the refit paths and by feasibility-cap changes that skip refitting.
   void bumpFitEpoch();
@@ -187,9 +165,9 @@ private:
   std::vector<double> Weights;
   double MinInfeasible = std::numeric_limits<double>::infinity();
 
-  /// Memoized inverse-time lookups, keyed by the bit pattern of tau so
-  /// that distinct doubles never collide. Guarded by CacheMutex; mutable
-  /// because memoization is observably const.
+  /// Memoized results of the default sizeForTime() search, keyed by the
+  /// bit pattern of tau so that distinct doubles never collide. Guarded
+  /// by CacheMutex; mutable because memoization is observably const.
   mutable std::mutex CacheMutex;
   mutable std::unordered_map<std::uint64_t, double> InverseCache;
   mutable std::uint64_t Hits = 0;
@@ -232,7 +210,6 @@ public:
 protected:
   double timeImpl(double X) const override;
   void refit() override;
-  double invalidationLowerBound(double ChangedUnits) const override;
 
 private:
   std::vector<double> Xs;

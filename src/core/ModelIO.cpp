@@ -2,9 +2,11 @@
 
 #include "core/ModelIO.h"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 using namespace fupermod;
 
@@ -14,6 +16,20 @@ std::unique_ptr<Model> readFailed(std::string *Err, const std::string &Why) {
   if (Err)
     *Err = Why;
   return nullptr;
+}
+
+/// True when \p LS holds nothing but whitespace past its read position.
+bool atEnd(std::istringstream &LS) {
+  std::string Extra;
+  return !(LS >> Extra);
+}
+
+/// Parses a point count: decimal digits only (no sign, fraction or
+/// exponent) that fit a size_t.
+bool parseCount(const std::string &Token, std::size_t &Out) {
+  const char *End = Token.data() + Token.size();
+  auto [Ptr, Ec] = std::from_chars(Token.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
 }
 
 } // namespace
@@ -49,6 +65,10 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
   double Limit = std::numeric_limits<double>::infinity();
   std::size_t LineNo = 0;
 
+  auto LineFailed = [&](const std::string &Why) {
+    return readFailed(Err, "line " + std::to_string(LineNo) + ": " + Why);
+  };
+
   while (std::getline(IS, Line)) {
     ++LineNo;
     if (Line.empty() || Line[0] == '#')
@@ -57,17 +77,22 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
     std::string Key;
     LS >> Key;
     if (Key == "kind") {
-      LS >> Kind;
-      HaveKind = !Kind.empty();
+      if (!(LS >> Kind) || !atEnd(LS))
+        return LineFailed("expected 'kind <name>'");
+      HaveKind = true;
     } else if (Key == "limit") {
-      LS >> Limit;
+      if (!(LS >> Limit) || !atEnd(LS) || !std::isfinite(Limit) ||
+          Limit <= 0.0)
+        return LineFailed("expected 'limit <positive size>'");
     } else if (Key == "points") {
-      LS >> Count;
+      std::string Token;
+      if (!(LS >> Token) || !atEnd(LS) || !parseCount(Token, Count))
+        return LineFailed("expected 'points <count>' with a non-negative "
+                          "integer count");
       HavePoints = true;
       break;
     } else {
-      return readFailed(Err, "line " + std::to_string(LineNo) +
-                                 ": unknown key '" + Key + "'");
+      return LineFailed("unknown key '" + Key + "'");
     }
   }
   if (!HaveKind)
@@ -79,8 +104,9 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
   std::unique_ptr<Model> M = makeModel(Kind, &KindErr);
   if (!M)
     return readFailed(Err, KindErr);
+  // Storage grows with the lines actually read, never with the declared
+  // count: a count beyond the remaining input fails as truncated.
   std::vector<double> Weights;
-  Weights.reserve(Count);
   for (std::size_t I = 0; I < Count; ++I) {
     if (!std::getline(IS, Line))
       return readFailed(Err, "truncated: expected " + std::to_string(Count) +
@@ -89,24 +115,19 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
     std::istringstream LS(Line);
     Point P;
     if (!(LS >> P.Units >> P.Time >> P.Reps >> P.ConfidenceInterval))
-      return readFailed(Err, "line " + std::to_string(LineNo) +
-                                 ": malformed point (expected 'units time "
-                                 "reps ci [weight]')");
+      return LineFailed("malformed point (expected 'units time reps ci "
+                        "[weight]')");
     if (P.Units <= 0.0 || P.Time <= 0.0 || P.Reps <= 0)
-      return readFailed(Err, "line " + std::to_string(LineNo) +
-                                 ": non-positive units, time, or reps");
+      return LineFailed("non-positive units, time, or reps");
     double W = static_cast<double>(P.Reps);
     if (LS >> W) {
       if (W <= 0.0)
-        return readFailed(Err, "line " + std::to_string(LineNo) +
-                                   ": non-positive point weight");
+        return LineFailed("non-positive point weight");
     }
     LS.clear();
-    std::string Extra;
-    if (LS >> Extra)
-      return readFailed(Err, "line " + std::to_string(LineNo) +
-                                 ": malformed point (expected 'units time "
-                                 "reps ci [weight]')");
+    if (!atEnd(LS))
+      return LineFailed("malformed point (expected 'units time reps ci "
+                        "[weight]')");
     Weights.push_back(W);
     M->update(P);
   }

@@ -38,6 +38,12 @@ std::vector<double> feasibleCaps(std::span<Model *const> Models) {
   return Caps;
 }
 
+/// Largest real share a device with feasibility cap \p Cap may take.
+double shareLimit(double Cap) {
+  return static_cast<double>(std::min<std::int64_t>(maxUnitsUnderCap(Cap),
+                                                    std::int64_t(1) << 62));
+}
+
 /// True when the devices can hold \p Total units at all under the caps.
 bool capacitySufficient(std::span<const double> Caps, std::int64_t Total) {
   double Capacity = 0.0;
@@ -65,16 +71,14 @@ bool solveGeometric(double Total, std::span<Model *const> Models,
                     std::vector<double> &Shares, double &Tau,
                     double SeedTau = 0.0) {
   std::size_t P = Models.size();
-  std::vector<double> Caps = feasibleCaps(Models);
-  // The memoized lookup pays off whenever the same tau recurs against an
-  // unchanged model: the numerical partitioner re-runs this whole solve
-  // as its warm start, benches sweep algorithms over the same totals, and
-  // dynamic partitioning re-partitions between model updates.
+  std::vector<double> Limits;
+  for (double Cap : feasibleCaps(Models))
+    Limits.push_back(shareLimit(Cap));
+  // Each probe is one exact inverse per model: a closed form or a binary
+  // search over knots, except for models that fall back to the memoized
+  // bracketed search of Model::sizeForTime.
   auto ShareAt = [&](std::size_t I, double T) {
-    double Cap = static_cast<double>(
-        std::min<std::int64_t>(maxUnitsUnderCap(Caps[I]),
-                               std::int64_t(1) << 62));
-    return std::min(Models[I]->sizeForTimeCached(T), Cap);
+    return std::min(Models[I]->sizeForTime(T), Limits[I]);
   };
   auto SumAt = [&](double T) {
     double Sum = 0.0;
@@ -112,6 +116,10 @@ bool solveGeometric(double Total, std::span<Model *const> Models,
 
   for (int I = 0; I < 100; ++I) {
     double Mid = 0.5 * (Lo + Hi);
+    // Mid rounded onto an endpoint: every later step would reassign that
+    // endpoint to itself, so Tau and the shares are already final.
+    if (Mid == Lo || Mid == Hi)
+      break;
     if (SumAt(Mid) < Total)
       Lo = Mid;
     else
@@ -164,9 +172,7 @@ bool refineNumerical(double D, std::span<Model *const> Models,
   Options.LowerBounds.assign(P, 0.0);
   Options.UpperBounds.resize(P);
   for (std::size_t I = 0; I < P; ++I)
-    Options.UpperBounds[I] = static_cast<double>(
-        std::min<std::int64_t>(maxUnitsUnderCap(Caps[I]),
-                               std::int64_t(1) << 62));
+    Options.UpperBounds[I] = shareLimit(Caps[I]);
   NewtonResult Solved = solveNewton(F, X0, Options, J);
 
   bool Sane = Solved.Converged;

@@ -217,6 +217,41 @@ TEST(ModelIO, RejectsMalformedInput) {
   }
 }
 
+TEST(ModelIO, RejectsMalformedHeaderTokens) {
+  // Each header value is one strict token: no sign or fraction on the
+  // point count, no trailing tokens, a finite positive limit. A count
+  // beyond the remaining input fails as truncated without allocating for
+  // it.
+  for (const char *Text :
+       {"kind cpm\npoints -1\n", "kind cpm\npoints 1e308\n10 1 3 0\n",
+        "kind cpm\npoints 1.5\n10 1 3 0\n", "kind cpm\npoints +1\n10 1 3 0\n",
+        "kind cpm\npoints\n", "kind cpm\npoints 1 2\n10 1 3 0\n",
+        "kind cpm\npoints 99999999999999999999999\n",
+        "kind\npoints 0\n", "kind cpm extra\npoints 1\n10 1 3 0\n",
+        "kind cpm\nlimit\npoints 1\n10 1 3 0\n",
+        "kind cpm\nlimit -5\npoints 1\n10 1 3 0\n",
+        "kind cpm\nlimit 0\npoints 1\n10 1 3 0\n",
+        "kind cpm\nlimit abc\npoints 1\n10 1 3 0\n",
+        "kind cpm\nlimit 50 60\npoints 1\n10 1 3 0\n"}) {
+    std::stringstream SS(Text);
+    std::string Err;
+    EXPECT_EQ(readModel(SS, &Err), nullptr) << Text;
+    EXPECT_NE(Err.find("line "), std::string::npos) << Text << ": " << Err;
+  }
+  for (const char *Text : {"kind cpm\npoints 18446744073709551615\n10 1 3 0\n",
+                           "kind cpm\npoints 3\n10 1 3 0\n"}) {
+    std::stringstream SS(Text);
+    std::string Err;
+    EXPECT_EQ(readModel(SS, &Err), nullptr) << Text;
+    EXPECT_NE(Err.find("truncated"), std::string::npos) << Text << ": " << Err;
+  }
+  // Well-formed headers still read.
+  std::stringstream SS("kind cpm\nlimit 500\npoints 1\n10 2 3 0.1\n");
+  std::unique_ptr<Model> M = readModel(SS);
+  ASSERT_NE(M, nullptr);
+  EXPECT_DOUBLE_EQ(M->feasibleLimit(), 500.0);
+}
+
 TEST(ModelIO, IgnoresCommentsAndBlankLines) {
   std::stringstream SS(
       "# header\n\nkind cpm\n# noise\npoints 1\n10 2 3 0.1\n");

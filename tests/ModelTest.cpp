@@ -1,12 +1,19 @@
 //===-- tests/ModelTest.cpp - performance model tests ---------------------===//
 
 #include "core/Model.h"
+#include "core/Partitioners.h"
 
 #include "sim/DeviceProfile.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace fupermod;
 
@@ -278,85 +285,86 @@ TEST(ModelShape, FunctionalModelsSeeTheCliff) {
   }
 }
 
-TEST(InverseCache, CachedLookupMatchesDirectAndCountsHits) {
-  PiecewiseModel M;
-  M.update(makePoint(100.0, 1.0));
-  M.update(makePoint(1000.0, 20.0));
-  M.update(makePoint(4000.0, 120.0));
+namespace {
 
-  for (double T : {0.5, 5.0, 60.0}) {
-    EXPECT_DOUBLE_EQ(M.sizeForTimeCached(T), M.sizeForTime(T));
-    EXPECT_DOUBLE_EQ(M.sizeForTimeCached(T), M.sizeForTime(T)); // hit
+/// Feeds \p Pts (units, time) to \p M in order.
+void feedPoints(Model &M,
+                std::initializer_list<std::pair<double, double>> Pts) {
+  for (auto [Units, Time] : Pts)
+    M.update(makePoint(Units, Time));
+}
+
+/// The default inverse as it was first written: bracket by doubling, then
+/// always 100 bisection steps.
+double fullBisectionInverse(const Model &M, double T) {
+  double Hi = std::max(1.0, M.points().back().Units);
+  for (int I = 0; I < 200 && M.timeAt(Hi) < T; ++I)
+    Hi *= 2.0;
+  if (M.timeAt(Hi) < T)
+    return Hi;
+  double Lo = 0.0;
+  for (int I = 0; I < 100; ++I) {
+    double Mid = 0.5 * (Lo + Hi);
+    if (M.timeAt(Mid) < T)
+      Lo = Mid;
+    else
+      Hi = Mid;
   }
-  EXPECT_EQ(M.cacheLookups(), 6u);
-  EXPECT_EQ(M.cacheHits(), 3u);
+  return 0.5 * (Lo + Hi);
+}
+
+} // namespace
+
+TEST(InverseCache, CachedLookupMatchesFreshSearchAndCountsHits) {
+  // Fresh has an empty memo, so its answers are computed, not replayed.
+  AkimaModel A, Fresh;
+  feedPoints(A, {{100.0, 1.0}, {1000.0, 20.0}, {4000.0, 120.0}});
+  feedPoints(Fresh, {{100.0, 1.0}, {1000.0, 20.0}, {4000.0, 120.0}});
+  for (double T : {0.5, 5.0, 60.0}) {
+    double Miss = A.sizeForTime(T);
+    EXPECT_EQ(A.sizeForTime(T), Miss); // hit
+    EXPECT_EQ(Miss, Fresh.sizeForTime(T));
+  }
+  EXPECT_EQ(A.cacheLookups(), 6u);
+  EXPECT_EQ(A.cacheHits(), 3u);
 }
 
 TEST(InverseCache, InvalidatedWhenModelRefits) {
-  PiecewiseModel M;
-  M.update(makePoint(100.0, 1.0));
-  M.update(makePoint(1000.0, 10.0));
-  double Before = M.sizeForTimeCached(5.0);
+  AkimaModel A;
+  feedPoints(A, {{100.0, 1.0}, {1000.0, 10.0}});
+  double Before = A.sizeForTime(5.0);
 
-  // New measurement changes the fit; a stale cached inverse would now
-  // disagree with the direct computation.
-  M.update(makePoint(500.0, 8.0));
-  double After = M.sizeForTimeCached(5.0);
-  EXPECT_DOUBLE_EQ(After, M.sizeForTime(5.0));
+  // New measurement changes the fit; a stale memoized inverse would now
+  // disagree with a model fitted from the same points.
+  A.update(makePoint(500.0, 8.0));
+  double After = A.sizeForTime(5.0);
+  AkimaModel Fresh;
+  feedPoints(Fresh, {{100.0, 1.0}, {1000.0, 10.0}, {500.0, 8.0}});
+  EXPECT_EQ(After, Fresh.sizeForTime(5.0));
   EXPECT_NE(Before, After);
   // Lifetime counters survive invalidation (hit rates stay meaningful).
-  EXPECT_EQ(M.cacheLookups(), 2u);
+  EXPECT_EQ(A.cacheLookups(), 2u);
+  EXPECT_EQ(A.cacheHits(), 0u);
+  EXPECT_EQ(A.cacheInvalidations(), 1u);
 }
 
 TEST(InverseCache, DistinguishesBitDistinctKeys) {
-  PiecewiseModel M;
-  M.update(makePoint(100.0, 1.0));
-  M.update(makePoint(1000.0, 10.0));
+  AkimaModel A;
+  feedPoints(A, {{100.0, 1.0}, {1000.0, 10.0}});
   double T1 = 5.0;
   double T2 = std::nextafter(5.0, 6.0); // Adjacent representable value.
-  EXPECT_DOUBLE_EQ(M.sizeForTimeCached(T1), M.sizeForTime(T1));
-  EXPECT_DOUBLE_EQ(M.sizeForTimeCached(T2), M.sizeForTime(T2));
-  EXPECT_EQ(M.cacheHits(), 0u); // Distinct bit patterns never collide.
+  A.sizeForTime(T1);
+  A.sizeForTime(T2);
+  EXPECT_EQ(A.cacheHits(), 0u); // Distinct bit patterns never collide.
 }
 
-TEST(InverseCache, RangedInvalidationPreservesUnaffectedEntries) {
-  // Feedback at a large size must not evict memoized inverses that
-  // resolved well left of the change: piecewise coarsening only cascades
-  // rightward, so PiecewiseModel reports a non-zero invalidation bound.
-  PiecewiseModel M;
-  M.update(makePoint(100.0, 1.0));
-  M.update(makePoint(1000.0, 10.0));
-  M.update(makePoint(2000.0, 30.0));
-  M.update(makePoint(4000.0, 120.0));
-  M.clearEvalCache();
-
-  const double LowT = 0.5;   // Resolves to ~50, far left of the change.
-  const double HighT = 60.0; // Resolves between the last two knots.
-  M.sizeForTimeCached(LowT);
-  M.sizeForTimeCached(HighT);
-
-  // Repeat measurement at the last knot: only entries at or beyond the
-  // second knot left of it may be dropped.
-  M.update(makePoint(4000.0, 126.0));
-  EXPECT_EQ(M.cacheInvalidations(), 1u);
-
-  EXPECT_DOUBLE_EQ(M.sizeForTimeCached(LowT), M.sizeForTime(LowT));
-  EXPECT_EQ(M.cacheHits(), 1u); // The low entry survived...
-  EXPECT_DOUBLE_EQ(M.sizeForTimeCached(HighT), M.sizeForTime(HighT));
-  EXPECT_EQ(M.cacheHits(), 1u); // ...the high one was recomputed.
-}
-
-TEST(InverseCache, InvalidationCounterComparableAcrossWipeAndRange) {
-  // Akima has no ranged bound: every update wipes the whole cache, and
-  // the counter must report exactly the entries that wipe dropped — the
-  // same unit the ranged path counts, so `partitioner --stats` can sum
-  // them across model kinds.
+TEST(InverseCache, InvalidationCounterCountsWipedEntries) {
+  // Every refit wipes the whole memo, and the counter reports exactly
+  // the entries that wipe dropped.
   AkimaModel A;
-  A.update(makePoint(100.0, 1.0));
-  A.update(makePoint(1000.0, 10.0));
-  A.update(makePoint(4000.0, 50.0));
+  feedPoints(A, {{100.0, 1.0}, {1000.0, 10.0}, {4000.0, 50.0}});
   for (double T : {0.5, 5.0, 20.0})
-    A.sizeForTimeCached(T);
+    A.sizeForTime(T);
   A.update(makePoint(2000.0, 22.0)); // Full wipe: all three entries.
   EXPECT_EQ(A.cacheInvalidations(), 3u);
 
@@ -366,6 +374,54 @@ TEST(InverseCache, InvalidationCounterComparableAcrossWipeAndRange) {
   EXPECT_EQ(A.cacheInvalidations(), 0u);
   EXPECT_EQ(A.cacheLookups(), 0u);
   EXPECT_EQ(A.fitEpoch(), Epoch);
+}
+
+TEST(InverseCache, SolversUseTheMemoOnlyForBracketedInverses) {
+  // The geometric bisection (alone, and as the numerical partitioner's
+  // initial guess) asks closed-form models for their exact inverse; only
+  // a model on the default bracketed search goes through the memo.
+  for (const char *Kind : {"cpm", "piecewise", "linear", "akima"}) {
+    std::vector<std::unique_ptr<Model>> Owned;
+    std::vector<Model *> Models;
+    for (double Speed : {100.0, 250.0, 40.0}) {
+      Owned.push_back(makeModel(Kind));
+      feedPoints(*Owned.back(), {{100.0, 100.0 / Speed},
+                                 {1000.0, 1100.0 / Speed},
+                                 {4000.0, 4800.0 / Speed}});
+      Models.push_back(Owned.back().get());
+    }
+    for (const char *Algorithm : {"geometric", "numerical"}) {
+      Dist Out;
+      ASSERT_TRUE(findPartitioner(Algorithm)(5000, Models, Out)) << Kind;
+    }
+    std::uint64_t Lookups = 0;
+    for (Model *M : Models)
+      Lookups += M->cacheLookups();
+    if (std::string(Kind) == "akima")
+      EXPECT_GT(Lookups, 0u);
+    else
+      EXPECT_EQ(Lookups, 0u) << Kind;
+  }
+}
+
+TEST(InverseCache, BracketedSearchStopsWithoutChangingTheAnswer) {
+  // The default search leaves its bisection once the midpoint rounds
+  // onto an endpoint; over random Akima fits (non-monotone ones
+  // included) that must agree bit for bit with all 100 steps.
+  for (std::uint64_t Case = 0; Case < 200; ++Case) {
+    SplitMix64 Rng(0x1e7e0000 + Case);
+    AkimaModel A;
+    int N = 2 + static_cast<int>(Case % 6);
+    for (int I = 0; I < N; ++I) {
+      double Units = 20.0 + Rng.uniform(0.0, 6000.0);
+      A.update(makePoint(Units, Units * 1e-3 * Rng.uniform(0.5, 2.0)));
+    }
+    for (int I = 0; I < 8; ++I) {
+      double T = Rng.uniform(1e-4, 20.0);
+      ASSERT_EQ(A.sizeForTime(T), fullBisectionInverse(A, T))
+          << "case " << Case << " tau " << T;
+    }
+  }
 }
 
 TEST(FitEpoch, AdvancesOnEveryFitChange) {

@@ -215,7 +215,6 @@ TEST(PartitionedVectorStress, OverlappedHalosUnderRepartitionChurn) {
   // under -DFUPERMOD_SANITIZE=thread this exercises every cross-thread
   // handoff of the dist layer.
   const int P = 5;
-  const std::int64_t N = 24;
   const std::int64_t EPU = 3;
   // A deterministic partition schedule, shared by all ranks; includes
   // zero-unit and single-unit segments.

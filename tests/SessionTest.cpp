@@ -240,6 +240,46 @@ TEST(Session, RefreshModelsHotReloadsChangedFiles) {
   EXPECT_EQ(Kept.Parts[0].Units, After.Parts[0].Units);
 }
 
+TEST(Session, FailedReloadOfMalformedHeaderKeepsModelAndEpoch) {
+  // Regression: `points -1` used to reach a reserve(SIZE_MAX) in the model
+  // reader, whose exception took the whole process down mid-reload.
+  SessionConfig Cfg;
+  auto SR = Session::create(std::move(Cfg));
+  ASSERT_TRUE(SR.ok());
+  Session &S = *SR.value();
+  std::string A = tempPath("session_bad_header_a.fpm");
+  std::string B = tempPath("session_bad_header_b.fpm");
+  writeModelFile(A, 1200.0);
+  writeModelFile(B, 400.0);
+  std::vector<std::string> Paths = {A, B};
+  ASSERT_TRUE(S.loadModels(Paths).ok());
+  Dist Before = S.partition(1000).value();
+  std::uint64_t Epoch = S.modelEpoch();
+
+  for (const char *Header :
+       {"kind piecewise\npoints -1", "kind piecewise\npoints 1e308",
+        "kind piecewise\npoints 18446744073709551615",
+        "kind piecewise\npoints 1 extra", "kind piecewise extra\npoints 1",
+        "kind piecewise\nlimit -5\npoints 1"}) {
+    {
+      std::ofstream OS(A);
+      OS << "# fupermod model\n" << Header << "\n100 0.25 3 0\n";
+    }
+    bumpMTime(A);
+    S.takeWarnings();
+    Result<int> R = S.refreshModels();
+    ASSERT_TRUE(R.ok()) << Header;
+    EXPECT_EQ(R.value(), 0) << Header;
+    EXPECT_EQ(S.modelEpoch(), Epoch) << Header;
+    std::vector<std::string> Warnings = S.takeWarnings();
+    ASSERT_EQ(Warnings.size(), 1u) << Header;
+    EXPECT_NE(Warnings[0].find("keeping the previous model"),
+              std::string::npos)
+        << Warnings[0];
+    EXPECT_TRUE(S.partition(1000).value().sameUnits(Before)) << Header;
+  }
+}
+
 TEST(Session, RefreshModelsCatchesSameMTimeRewrite) {
   // Regression: refreshModels used to key change detection on mtime
   // alone. A rewrite landing within the filesystem timestamp granularity
@@ -414,6 +454,40 @@ TEST(Serve, MalformedLinesAreReportedInPlaceAndServingContinues) {
       << OS.str();
   EXPECT_NE(OS.str().find("partitioning of 2000 units"), std::string::npos)
       << OS.str();
+}
+
+TEST(Serve, ReloadOfMalformedModelFileKeepsServing) {
+  SessionConfig Cfg;
+  auto SR = Session::create(std::move(Cfg));
+  ASSERT_TRUE(SR.ok());
+  Session &S = *SR.value();
+  std::string A = tempPath("serve_bad_reload_a.fpm");
+  std::string B = tempPath("serve_bad_reload_b.fpm");
+  writeModelFile(A, 900.0);
+  writeModelFile(B, 300.0);
+  std::vector<std::string> Paths = {A, B};
+  ASSERT_TRUE(S.loadModels(Paths).ok());
+  Dist Before = S.partition(1200).value();
+  {
+    std::ofstream OS(A);
+    OS << "kind piecewise\npoints -1\n";
+  }
+  bumpMTime(A);
+
+  std::istringstream IS("reload\n1200\n");
+  auto Requests = parseServeRequests(IS);
+  ASSERT_TRUE(Requests.ok());
+  std::ostringstream OS;
+  ServeStats St = serveRequests(S, Requests.value(), OS);
+  EXPECT_EQ(St.Answered, 1);
+  EXPECT_EQ(St.Failed, 0);
+  EXPECT_EQ(St.Reloaded, 0);
+  EXPECT_NE(OS.str().find("# warning: reload of " + A), std::string::npos)
+      << OS.str();
+  EXPECT_NE(OS.str().find("geometric partitioning of 1200 units"),
+            std::string::npos)
+      << OS.str();
+  EXPECT_TRUE(S.partition(1200).value().sameUnits(Before));
 }
 
 TEST(Serve, AnswersRequestsFromOneSession) {

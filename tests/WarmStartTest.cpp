@@ -15,9 +15,9 @@
 //  4. stale hint after a device was excluded: the size mismatch forces a
 //     full revalidation and re-solve.
 //
-// Plus the cache half of the warm path: Model::refitRange's ranged
-// invalidation never lets sizeForTimeCached serve an answer a model
-// fitted from the same points would not compute.
+// Plus the solver half: the geometric bisection leaves its loop once the
+// bracket has collapsed, and a warm solve must still return bit for bit
+// what the full-length bisection returns.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,16 +25,55 @@
 #include "core/Model.h"
 #include "core/Partitioners.h"
 #include "sim/Cluster.h"
+#include "solver/NewtonSolver.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 using namespace fupermod;
 
 namespace {
+
+/// Calls into any CountingModel since process start.
+std::atomic<std::uint64_t> ModelCalls{0};
+
+/// A piecewise model that counts every prediction and inverse it is
+/// asked for, so a test can prove a code path never touched the models.
+class CountingModel : public PiecewiseModel {
+public:
+  double sizeForTime(double T) const override {
+    ++ModelCalls;
+    return PiecewiseModel::sizeForTime(T);
+  }
+  double timeDerivative(double X) const override {
+    ++ModelCalls;
+    return PiecewiseModel::timeDerivative(X);
+  }
+  void timesAt(std::span<const double> Xs,
+               std::span<double> Out) const override {
+    ++ModelCalls;
+    PiecewiseModel::timesAt(Xs, Out);
+  }
+
+protected:
+  double timeImpl(double X) const override {
+    ++ModelCalls;
+    return PiecewiseModel::timeImpl(X);
+  }
+};
+
+Registrar<ModelRegistry> RegCounting(modelRegistry(), "counting-piecewise", [] {
+  return std::unique_ptr<Model>(std::make_unique<CountingModel>());
+});
 
 struct BuiltCluster {
   Cluster Cl;
@@ -50,7 +89,7 @@ BuiltCluster buildCluster(int P, std::uint64_t Variant) {
   B.Cl.NoiseSigma = 0.0;
 
   ModelBuildPlan Plan;
-  Plan.Kind = "piecewise";
+  Plan.Kind = "counting-piecewise";
   Plan.MinSize = 64.0;
   Plan.MaxSize = 7000.0;
   Plan.NumPoints = 10;
@@ -71,11 +110,148 @@ Point makePoint(double Units, double Time, int Reps = 3) {
   return P;
 }
 
-std::uint64_t totalLookups(std::span<Model *const> Models) {
-  std::uint64_t Sum = 0;
+bool bitEqual(double A, double B) {
+  return std::bit_cast<std::uint64_t>(A) == std::bit_cast<std::uint64_t>(B);
+}
+
+/// What a solve records in its hint, computed independently of the
+/// library's solver.
+struct Reference {
+  double Tau = 0.0;
+  std::vector<double> Shares;
+  std::vector<std::int64_t> Units;
+};
+
+/// Per-device share limit of the partitioners: the feasibility cap as a
+/// unit count, saturated inside int64 range.
+std::vector<double> shareLimits(std::span<Model *const> Models) {
+  std::vector<double> Limits;
   for (Model *M : Models)
-    Sum += M->cacheLookups();
-  return Sum;
+    Limits.push_back(static_cast<double>(std::min<std::int64_t>(
+        maxUnitsUnderCap(M->feasibleLimit()), std::int64_t(1) << 62)));
+  return Limits;
+}
+
+/// The paper's geometric solve with a bisection that always runs its 100
+/// steps: bracket the common completion time from \p SeedTau (0 = the
+/// even-share probe), bisect, and read each device's share off its
+/// inverse time function.
+void referenceGeometric(double Total, std::span<Model *const> Models,
+                        double SeedTau, Reference &Out) {
+  std::size_t P = Models.size();
+  std::vector<double> Limits = shareLimits(Models);
+  auto SumAt = [&](double T) {
+    double Sum = 0.0;
+    for (std::size_t I = 0; I < P; ++I)
+      Sum += std::min(Models[I]->sizeForTime(T), Limits[I]);
+    return Sum;
+  };
+  double Lo = 0.0;
+  double Hi = SeedTau > 0.0 ? SeedTau
+                            : Models[0]->timeAt(std::max(
+                                  Total / static_cast<double>(P), 1.0));
+  Hi = std::max(Hi, 1e-9);
+  bool Bracketed = false;
+  for (int I = 0; I < 200 && !Bracketed; ++I) {
+    Bracketed = SumAt(Hi) >= Total;
+    if (!Bracketed)
+      Hi *= 2.0;
+  }
+  Out.Tau = Hi;
+  if (Bracketed) {
+    for (int I = 0; I < 100; ++I) {
+      double Mid = 0.5 * (Lo + Hi);
+      if (SumAt(Mid) < Total)
+        Lo = Mid;
+      else
+        Hi = Mid;
+    }
+    Out.Tau = 0.5 * (Lo + Hi);
+  }
+  Out.Shares.clear();
+  for (std::size_t I = 0; I < P; ++I)
+    Out.Shares.push_back(std::min(Models[I]->sizeForTime(Out.Tau), Limits[I]));
+}
+
+/// The numerical partitioner's Newton refinement of the balance system
+/// t_i(x_i) = t_p(x_p), sum x_i = D from \p X0; false when Newton did
+/// not converge to a finite non-negative point.
+bool referenceNewton(double D, std::span<Model *const> Models,
+                     double TimeScale, std::span<const double> X0,
+                     std::vector<double> &Refined) {
+  std::size_t P = Models.size();
+  VectorFunction F = [&](std::span<const double> X, std::span<double> R) {
+    double TLast = Models[P - 1]->timeAt(std::max(X[P - 1], 0.0));
+    for (std::size_t I = 0; I + 1 < P; ++I)
+      R[I] = (Models[I]->timeAt(std::max(X[I], 0.0)) - TLast) / TimeScale;
+    double Sum = 0.0;
+    for (double V : X)
+      Sum += V;
+    R[P - 1] = (Sum - D) / D;
+  };
+  JacobianFunction J = [&](std::span<const double> X, std::span<double> Jac) {
+    std::fill(Jac.begin(), Jac.end(), 0.0);
+    double DLast = Models[P - 1]->timeDerivative(std::max(X[P - 1], 0.0));
+    for (std::size_t I = 0; I + 1 < P; ++I) {
+      Jac[I * P + I] =
+          Models[I]->timeDerivative(std::max(X[I], 0.0)) / TimeScale;
+      Jac[I * P + (P - 1)] = -DLast / TimeScale;
+    }
+    for (std::size_t Col = 0; Col < P; ++Col)
+      Jac[(P - 1) * P + Col] = 1.0 / D;
+  };
+  NewtonOptions Options;
+  Options.ResidualTolerance = 1e-10;
+  Options.MaxIterations = 200;
+  Options.LowerBounds.assign(P, 0.0);
+  Options.UpperBounds = shareLimits(Models);
+  NewtonResult Solved = solveNewton(F, X0, Options, J);
+  bool Sane = Solved.Converged;
+  for (double V : Solved.X)
+    Sane = Sane && std::isfinite(V) && V >= 0.0;
+  if (Sane)
+    Refined = std::move(Solved.X);
+  return Sane;
+}
+
+/// What partition{Geometric,Numerical}Warm record for \p Total given the
+/// hint \p Prior they were called with (P >= 2).
+Reference referenceWarm(const std::string &Name, std::int64_t Total,
+                        std::span<Model *const> Models,
+                        const PartitionHint &Prior) {
+  Reference R;
+  double D = static_cast<double>(Total);
+  referenceGeometric(D, Models, Prior.Valid ? Prior.Tau : 0.0, R);
+  if (Name == "numerical") {
+    double TimeScale = std::max(R.Tau, 1e-9);
+    bool HaveWarmX0 = Prior.Valid && Prior.Total == Total &&
+                      Prior.Shares.size() == Models.size();
+    std::vector<double> Refined;
+    bool Sane = referenceNewton(D, Models, TimeScale,
+                                HaveWarmX0 ? Prior.Shares : R.Shares, Refined);
+    if (!Sane && HaveWarmX0)
+      Sane = referenceNewton(D, Models, TimeScale, R.Shares, Refined);
+    if (Sane)
+      R.Shares = std::move(Refined);
+  }
+  std::vector<double> Caps;
+  for (Model *M : Models)
+    Caps.push_back(M->feasibleLimit());
+  R.Units = roundSharesCapped(R.Shares, Total, Caps);
+  return R;
+}
+
+/// Bit-equality of a recorded hint with the reference solve.
+void expectHintMatches(const PartitionHint &Hint, const Reference &R,
+                       const std::string &Where) {
+  EXPECT_TRUE(bitEqual(Hint.Tau, R.Tau)) << Where << ": tau " << Hint.Tau
+                                         << " vs " << R.Tau;
+  ASSERT_EQ(Hint.Shares.size(), R.Shares.size()) << Where;
+  for (std::size_t I = 0; I < R.Shares.size(); ++I)
+    EXPECT_TRUE(bitEqual(Hint.Shares[I], R.Shares[I]))
+        << Where << ": share " << I << " " << Hint.Shares[I] << " vs "
+        << R.Shares[I];
+  EXPECT_EQ(Hint.Units, R.Units) << Where;
 }
 
 } // namespace
@@ -102,14 +278,20 @@ TEST(WarmStart, EveryHintStateMatchesColdOverRandomClusters) {
           << Name << " first warm call diverged, cluster " << Case;
 
       // 2. Unchanged models: memo replay — identical result, and the
-      // models are provably untouched (no inverse-cache traffic).
-      std::uint64_t Lookups = totalLookups(B.Models);
+      // models are provably untouched (no prediction or inverse asked).
+      std::uint64_t Calls = ModelCalls.load();
       Dist W1;
       ASSERT_TRUE(Warm(Total, B.Models, W1, Hint));
       EXPECT_TRUE(W1.sameUnits(C0))
           << Name << " memo replay diverged, cluster " << Case;
-      EXPECT_EQ(totalLookups(B.Models), Lookups)
+      EXPECT_EQ(ModelCalls.load(), Calls)
           << Name << " memo replay touched the models, cluster " << Case;
+      // The check above can fail: a re-solve does touch the models.
+      PartitionHint Empty;
+      Dist W1Solved;
+      ASSERT_TRUE(Warm(Total, B.Models, W1Solved, Empty));
+      EXPECT_GT(ModelCalls.load(), Calls)
+          << Name << " re-solve went unseen, cluster " << Case;
 
       // 3. Incremental feedback on one device: the hint is stale (its
       // epoch no longer matches) and may only seed the solver.
@@ -174,37 +356,41 @@ TEST(WarmStart, UnknownAlgorithmStillDiagnosed) {
   EXPECT_FALSE(Err.empty());
 }
 
-TEST(WarmStart, RangedInvalidationNeverServesStaleInverses) {
-  // Live interleaves feedback updates with memoized inverse lookups, so
-  // its cache lives across updates and survives only through
-  // PiecewiseModel's ranged invalidation. Mirror receives the same
-  // updates but never caches; any stale surviving entry in Live shows up
-  // as a mismatch against Mirror's direct computation.
-  for (std::uint64_t Case = 0; Case < 50; ++Case) {
-    SplitMix64 Rng(0x7b1f0000 + Case);
-    PiecewiseModel Live, Mirror;
-    std::vector<double> Taus;
-    for (int I = 0; I < 12; ++I)
-      Taus.push_back(Rng.uniform(1e-3, 8.0));
+TEST(WarmStart, HintsMatchFullLengthBisectionOverRandomClusters) {
+  // The solvers leave the bisection once its midpoint rounds onto an
+  // endpoint. A reference that always runs the 100 steps must agree bit
+  // for bit on the recorded tau, the real shares and the units, on the
+  // cold first call and on the tau/shares-seeded call after feedback.
+  for (std::uint64_t Case = 0; Case < 200; ++Case) {
+    SplitMix64 Rng(0x6a09e667 + Case);
+    int P = 2 + static_cast<int>(Case % 7);
+    BuiltCluster B = buildCluster(P, /*Variant=*/8000 + Case);
+    std::int64_t Total =
+        1500 + static_cast<std::int64_t>(Rng.uniform(0.0, 45000.0));
+    std::size_t Victim = static_cast<std::size_t>(Case) % B.Models.size();
+    double X = 200.0 + Rng.uniform(0.0, 5000.0);
+    Point Feedback;
+    Feedback.Units = X;
+    Feedback.Time = B.Cl.Devices[Victim].time(X) * 0.93;
+    Feedback.Reps = 3;
 
-    for (int Step = 0; Step < 40; ++Step) {
-      double Units;
-      if (Step % 4 == 3 && !Live.points().empty())
-        // Repeat measurement at a known size: the merge path, whose
-        // ranged invalidation is keyed to the existing point.
-        Units = Live.points()[static_cast<std::size_t>(Step) %
-                              Live.points().size()]
-                    .Units;
-      else
-        Units = 50.0 + Rng.uniform(0.0, 5000.0);
-      double Time = Units * 1e-3 * (1.0 + Rng.uniform(0.0, 0.5));
-      Live.update(makePoint(Units, Time));
-      Mirror.update(makePoint(Units, Time));
-      for (double T : Taus)
-        ASSERT_DOUBLE_EQ(Live.sizeForTimeCached(T), Mirror.sizeForTime(T))
-            << "case " << Case << " step " << Step << " tau " << T;
+    for (const char *Name : {"geometric", "numerical"}) {
+      WarmPartitioner Warm = findWarmPartitioner(Name);
+      ASSERT_TRUE(Warm);
+      std::string Where =
+          std::string(Name) + " cluster " + std::to_string(Case);
+      PartitionHint Hint;
+      Reference R0 = referenceWarm(Name, Total, B.Models, Hint);
+      Dist D0;
+      ASSERT_TRUE(Warm(Total, B.Models, D0, Hint));
+      expectHintMatches(Hint, R0, Where + " cold");
+
+      PartitionHint Prior = Hint;
+      B.Models[Victim]->update(Feedback);
+      Reference R1 = referenceWarm(Name, Total, B.Models, Prior);
+      Dist D1;
+      ASSERT_TRUE(Warm(Total, B.Models, D1, Hint));
+      expectHintMatches(Hint, R1, Where + " seeded");
     }
-    // The point of ranged invalidation: entries actually survive updates.
-    EXPECT_GT(Live.cacheHits(), 0u) << "case " << Case;
   }
 }

@@ -33,8 +33,9 @@
 // Responses are written in request order, byte-identical to the
 // sequential mode's answers.
 //
-// --stats prints the partition latency, the hit rate of the models'
-// memoized inverse-time lookup cache (see Model::sizeForTimeCached), and
+// --stats prints the partition latency, the counters of the models'
+// inverse-time memo (it backs only the generic bracketed search of
+// Model::sizeForTime, so closed-form models such as piecewise read 0), and
 // the data-movement cost of the distribution: the zero-copy handout
 // broadcast, plus a replay of an even-split container migrating to the
 // computed partition (minimal-move redistribute traffic) and one width-1
@@ -291,19 +292,18 @@ int main(int Argc, char **Argv) {
   std::printf("# max predicted time: %.6f\n", Out.maxPredictedTime());
 
   if (Stats) {
-    // Lifetime counters of the memoized inverse-time lookups the
-    // geometric/numerical solvers went through during this partition,
-    // plus how many memoized entries fit changes evicted (full wipes and
-    // ranged invalidations count the same way: entries dropped).
+    // Lifetime counters of the inverse-time memo behind the bracketed
+    // search (models without a closed-form inverse, e.g. akima), plus how
+    // many memoized entries fit changes evicted.
     std::uint64_t Lookups = 0, CacheHits = 0, Invalidations = 0;
     for (Model *M : Engine.activeModels()) {
       Lookups += M->cacheLookups();
       CacheHits += M->cacheHits();
       Invalidations += M->cacheInvalidations();
     }
-    std::printf("# stats: partition latency %.6f s, inverse-time lookups "
-                "%llu, cache hits %llu (%.1f%%), entries invalidated "
-                "%llu\n",
+    std::printf("# stats: partition latency %.6f s, inverse-time memo "
+                "lookups %llu, hits %llu (%.1f%%), entries invalidated "
+                "%llu (0 for closed-form models)\n",
                 PartitionSeconds,
                 static_cast<unsigned long long>(Lookups),
                 static_cast<unsigned long long>(CacheHits),
