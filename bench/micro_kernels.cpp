@@ -9,7 +9,7 @@
 //  - --gflops (or --smoke): a hand-rolled GEMM throughput phase that
 //    pits gemmNaive / gemmBlocked / gemmMicro against each other, checks
 //    the micro-kernel's result against gemmBlocked elementwise under the
-//    a-priori reassociation bound (gemmAbsErrorBound), writes
+//    a-priori rounding-error bound (gemmAbsErrorBound), writes
 //    BENCH_micro_kernels.json, and exits non-zero on a violated bound —
 //    or, in the full run on an AVX2 machine, on a micro-kernel that
 //    fails to reach 2x the blocked kernel's GFLOPS. --smoke shrinks the
@@ -260,7 +260,7 @@ int runGflopsPhase(bool Smoke) {
     fillDeterministic(C0, 3);
 
     // Correctness first: the micro-kernel result must sit within the
-    // a-priori FP-reassociation bound of the blocked kernel, element by
+    // a-priori rounding-error bound of the blocked kernel, element by
     // element (both start from the same C0 so accumulation is included).
     std::vector<double> Cb = C0, Cm = C0, Bound(N * N);
     gemmBlocked(N, N, N, A, B, Cb);
@@ -340,7 +340,7 @@ int runGflopsPhase(bool Smoke) {
   // selected (the portable tile promises correctness, not 2x, and smoke
   // timings are too short to trust).
   if (!BoundOk) {
-    std::cout << "FAIL: micro-kernel exceeded the reassociation bound\n";
+    std::cout << "FAIL: micro-kernel exceeded the error bound\n";
     return 1;
   }
   if (!Smoke && gemmMicroIsa() == GemmIsa::Avx2 && SpeedupVsBlocked < 2.0) {

@@ -10,7 +10,8 @@
 /// partitioned over processes as 2D rectangles; at iteration k the pivot
 /// block column of A and pivot block row of B are communicated to the
 /// processes whose rectangles intersect them, and every process updates
-/// its C rectangle with one packed GEMM.
+/// its C rectangle with one packed GEMM (the register-tiled gemmMicro,
+/// bit-identical to gemmBlocked).
 ///
 /// The computation is performed for real (block GEMMs on real data, so
 /// the result can be verified against a serial product), while per-rank
@@ -53,8 +54,8 @@ struct MatMulOptions {
   bool ZeroCopy = true;
   /// Prefetch step k+1's pivots (irecv) while step k's GEMM runs.
   bool Overlap = false;
-  /// GEMM threads per rank (> 1 uses gemmParallel and scales the charged
-  /// compute time by gemmThreadSpeedup).
+  /// GEMM threads per rank (> 1 runs gemmMicro as gemmParallel row bands
+  /// and scales the charged compute time by gemmThreadSpeedup).
   unsigned Threads = 1;
 };
 
@@ -75,7 +76,9 @@ struct MatMulReport {
   std::uint64_t ResultHash = 0;
   /// World communication counters for the whole run.
   CommStatsSnapshot Comm;
-  /// Largest |parallel - serial| element difference (0 when Verify off).
+  /// Largest |parallel - serial| element difference against an
+  /// independent gemmBlocked product (0 when Verify off; also 0 when on,
+  /// since every GEMM path is bit-identical).
   double MaxError = 0.0;
 };
 

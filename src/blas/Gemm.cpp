@@ -12,12 +12,10 @@
 #include <future>
 #include <vector>
 
-// The AVX2/FMA tile is only compiled when the build opted in
-// (FUPERMOD_NATIVE) on an x86 compiler that supports per-function target
-// attributes; the TU itself stays baseline, and the tile is only ever
-// *called* after a CPUID check.
-#if defined(FUPERMOD_NATIVE) &&                                               \
-    (defined(__x86_64__) || defined(__i386__)) &&                             \
+// The AVX2 tile is compiled on every x86 compiler that supports
+// per-function target attributes; the TU itself stays baseline, and the
+// tile is only ever *called* after a CPUID check.
+#if (defined(__x86_64__) || defined(__i386__)) &&                             \
     (defined(__GNUC__) || defined(__clang__))
 #define FUPERMOD_HAVE_AVX2_TILE 1
 #include <immintrin.h>
@@ -89,8 +87,9 @@ constexpr std::size_t KC = 256;
 
 /// One register tile: C (MR x NR, row stride Ldc) += A (MR rows at row
 /// stride Lda, depth Kb) * Bp (packed Kb x NR panel). Per C element the
-/// products are accumulated over l ascending, exactly like gemmBlocked —
-/// only the multiply-add fusion/vectorization differs.
+/// products are accumulated over l ascending with a separately rounded
+/// multiply and add, exactly like gemmBlocked — only independent elements
+/// share a vector, so the result is bit-identical.
 using TileFn = void (*)(std::size_t Kb, const double *A, std::size_t Lda,
                         const double *Bp, double *C, std::size_t Ldc);
 
@@ -115,7 +114,7 @@ void tilePortable(std::size_t Kb, const double *A, std::size_t Lda,
 }
 
 #if FUPERMOD_HAVE_AVX2_TILE
-__attribute__((target("avx2,fma"))) void
+__attribute__((target("avx2"))) void
 tileAvx2(std::size_t Kb, const double *A, std::size_t Lda, const double *Bp,
          double *C, std::size_t Ldc) {
   __m256d Acc[MR][2];
@@ -128,8 +127,8 @@ tileAvx2(std::size_t Kb, const double *A, std::size_t Lda, const double *Bp,
     __m256d B1 = _mm256_loadu_pd(Bp + L * NR + 4);
     for (std::size_t R = 0; R < MR; ++R) {
       __m256d AR = _mm256_broadcast_sd(A + R * Lda + L);
-      Acc[R][0] = _mm256_fmadd_pd(AR, B0, Acc[R][0]);
-      Acc[R][1] = _mm256_fmadd_pd(AR, B1, Acc[R][1]);
+      Acc[R][0] = _mm256_add_pd(Acc[R][0], _mm256_mul_pd(AR, B0));
+      Acc[R][1] = _mm256_add_pd(Acc[R][1], _mm256_mul_pd(AR, B1));
     }
   }
   for (std::size_t R = 0; R < MR; ++R) {
@@ -142,7 +141,7 @@ tileAvx2(std::size_t Kb, const double *A, std::size_t Lda, const double *Bp,
 /// CPUID dispatch, decided once per process.
 TileFn resolveTile(GemmIsa &Isa) {
 #if FUPERMOD_HAVE_AVX2_TILE
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+  if (__builtin_cpu_supports("avx2")) {
     Isa = GemmIsa::Avx2;
     return tileAvx2;
   }

@@ -35,12 +35,13 @@ bool parseCount(const std::string &Token, std::size_t &Out) {
 } // namespace
 
 bool fupermod::writeModel(std::ostream &OS, const Model &M) {
+  // 17 significant digits round-trip every double, the limit included.
+  OS.precision(17);
   OS << "# fupermod model\n";
   OS << "kind " << M.kind() << '\n';
   if (std::isfinite(M.feasibleLimit()))
     OS << "limit " << M.feasibleLimit() << '\n';
   OS << "points " << M.points().size() << '\n';
-  OS.precision(17);
   const std::vector<double> &Weights = M.weights();
   for (std::size_t I = 0; I < M.points().size(); ++I) {
     const Point &P = M.points()[I];

@@ -1,23 +1,27 @@
 //===-- tests/GemmMicroTest.cpp - register-blocked micro-kernel tests -----===//
 //
-// The micro-kernel's contract (blas/Gemm.h): gemmMicro differs from
-// gemmBlocked only by FMA/vectorization reassociation, elementwise within
-// gemmAbsErrorBound(); banding in gemmParallel never changes per-element
-// accumulation order, so the parallel micro path is bit-identical to a
-// serial gemmMicro call; and the ISA is resolved once per process by
-// CPUID dispatch — whichever tile body runs, the bound holds.
+// The micro-kernel's contract (blas/Gemm.h): gemmMicro performs, per C
+// element, the same l-ascending sequence of separately rounded multiplies
+// and adds as gemmBlocked, so it is bit-identical to it on every ISA (and
+// so elementwise within gemmAbsErrorBound(), checked independently);
+// banding in gemmParallel never changes per-element accumulation order,
+// so the parallel micro path is bit-identical too; and the ISA is
+// resolved once per process by CPUID dispatch — whichever tile body runs,
+// both properties hold.
 //
 //===----------------------------------------------------------------------===//
 
 #include "blas/Gemm.h"
 
 #include "core/GemmKernel.h"
+#include "support/Random.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 using namespace fupermod;
@@ -54,8 +58,8 @@ KernelPair runPair(Shape S, std::uint64_t Seed) {
 
 TEST(GemmMicro, WithinErrorBoundOfBlocked) {
   // Edge shapes on purpose: remainder rows (M % 4 != 0), remainder
-  // columns (N % 8 != 0), K = 1 (a single fused multiply-add per
-  // element), and a tile-aligned square for the fast path.
+  // columns (N % 8 != 0), K = 1 (a single multiply-add per element), and
+  // a tile-aligned square for the fast path.
   const Shape Shapes[] = {
       {17, 23, 31}, {4, 8, 1}, {5, 9, 7}, {64, 64, 64}, {33, 40, 5},
       {1, 1, 1},    {3, 70, 2},
@@ -66,7 +70,39 @@ TEST(GemmMicro, WithinErrorBoundOfBlocked) {
     for (std::size_t I = 0; I < S.M * S.N; ++I)
       ASSERT_LE(std::abs(R.Blocked[I] - R.Micro[I]), R.Bound[I])
           << "element " << I << " of " << S.M << "x" << S.N << "x" << S.K
-          << " exceeds the reassociation bound";
+          << " exceeds the a-priori error bound";
+  }
+}
+
+TEST(GemmMicro, BitIdenticalToBlocked) {
+  // Seeded random shapes: remainder rows (M % 4 != 0) and columns
+  // (N % 8 != 0) exercise the scalar edges, K = 257 crosses the KC = 256
+  // strip boundary, and C starts non-zero so the C input is the first
+  // term of every accumulation.
+  SplitMix64 Rng(0xb17e);
+  ThreadPool Pool(3);
+  const std::size_t Ks[] = {1, 33, 64, 257};
+  for (std::size_t Case = 0; Case < 32; ++Case) {
+    // Every M % 4 meets every K; N % 8 cycles through all remainders.
+    const std::size_t M = 4 * (1 + Rng.next() % 16) + Case % 4;
+    const std::size_t N = 8 * (Rng.next() % 9) + 1 + Case % 8;
+    const std::size_t K = Ks[(Case / 4) % 4];
+    std::vector<double> A(M * K), B(K * N), C0(M * N);
+    fillDeterministic(A, 3 * Case + 1);
+    fillDeterministic(B, 3 * Case + 2);
+    fillDeterministic(C0, 3 * Case + 3);
+
+    std::vector<double> Blocked = C0, Micro = C0, Banded = C0;
+    gemmBlocked(M, N, K, A, B, Blocked);
+    gemmMicro(M, N, K, A, B, Micro);
+    gemmParallel(M, N, K, A, B, Banded, Pool, /*Tile=*/16, /*UseMicro=*/true);
+    const std::size_t Bytes = M * N * sizeof(double);
+    EXPECT_EQ(0, std::memcmp(Blocked.data(), Micro.data(), Bytes))
+        << "gemmMicro " << M << "x" << N << "x" << K << " on "
+        << gemmIsaName(gemmMicroIsa());
+    EXPECT_EQ(0, std::memcmp(Blocked.data(), Banded.data(), Bytes))
+        << "pooled micro " << M << "x" << N << "x" << K << " on "
+        << gemmIsaName(gemmMicroIsa());
   }
 }
 

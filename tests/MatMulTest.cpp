@@ -106,6 +106,27 @@ TEST(ParallelMatMul, HeterogeneousRectsFromLayoutCorrect) {
   EXPECT_LT(R.MaxError, 1e-10);
 }
 
+TEST(ParallelMatMul, VerifiedProductIsExactlyTheBlockedReference) {
+  // The steps run on gemmMicro (row-banded with Threads > 1) and the
+  // Verify path recomputes the product with gemmBlocked; both perform the
+  // same per-element sequence of roundings, so the error is exactly 0.
+  Cluster Cl = makeUniformCluster(3, 100.0);
+  Cl.Devices[1] = makeConstantProfile("slow", 25.0);
+  Cl.Devices[2] = makeConstantProfile("mid", 50.0);
+  Cl.NoiseSigma = 0.0;
+  std::vector<double> Areas = {100.0, 25.0, 50.0};
+  MatMulOptions O;
+  O.NBlocks = 6;
+  O.BlockSize = 11; // leaves partial 4x8 register tiles at the edges
+  O.Verify = true;
+  auto Rects = scaleToGrid(partitionColumnBased(Areas), O.NBlocks);
+  for (unsigned Threads : {1u, 3u}) {
+    O.Threads = Threads;
+    MatMulReport R = runParallelMatMul(Cl, Rects, O);
+    EXPECT_EQ(R.MaxError, 0.0) << "threads=" << Threads;
+  }
+}
+
 TEST(ParallelMatMul, BalancedBeatsEvenOnHeterogeneousCluster) {
   Cluster Cl = makeUniformCluster(2, 200.0);
   Cl.Devices[1] = makeConstantProfile("slow", 40.0); // 5x slower.

@@ -62,6 +62,27 @@ TEST(ModelIO, PreservesFeasibilityLimit) {
   EXPECT_DOUBLE_EQ(Back->feasibleLimit(), 500.0);
 }
 
+TEST(ModelIO, FeasibilityLimitRoundTripsBitEqual) {
+  // The limit is written at full precision; at the stream's default 6
+  // digits a cap of 1234567 would be saved as 1.23457e+06.
+  for (double Cap : {1234567.0, 0.1}) {
+    auto M = makeModel("piecewise");
+    M->update(makePoint(Cap / 10.0, 2.0));
+    Point Fail;
+    Fail.Units = Cap;
+    Fail.Reps = 0;
+    Fail.Time = std::numeric_limits<double>::infinity();
+    M->update(Fail);
+    ASSERT_EQ(M->feasibleLimit(), Cap);
+
+    std::stringstream SS;
+    ASSERT_TRUE(writeModel(SS, *M));
+    std::unique_ptr<Model> Back = readModel(SS);
+    ASSERT_NE(Back, nullptr) << Cap;
+    EXPECT_EQ(Back->feasibleLimit(), Cap);
+  }
+}
+
 TEST(ModelIO, RoundTripsPointWeights) {
   auto M = makeModel("piecewise");
   M->update(makePoint(10.0, 1.0, 4));
