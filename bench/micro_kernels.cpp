@@ -7,14 +7,14 @@
 // Two modes:
 //  - bare invocation: the google-benchmark suite, as before;
 //  - --gflops (or --smoke): a hand-rolled GEMM throughput phase that
-//    pits gemmNaive / gemmBlocked / gemmMicro against each other, checks
-//    the micro-kernel's result against gemmBlocked elementwise under the
-//    a-priori rounding-error bound (gemmAbsErrorBound), writes
-//    BENCH_micro_kernels.json, and exits non-zero on a violated bound —
-//    or, in the full run on an AVX2 machine, on a micro-kernel that
-//    fails to reach 2x the blocked kernel's GFLOPS. --smoke shrinks the
-//    sizes and skips the throughput floor (too short to time); it is the
-//    tier-1 tripwire and must pass on portable-only builds too.
+//    pits gemmNaive / gemmBlocked against every micro-kernel tile this
+//    CPU supports (portable, AVX2, AVX-512), checks each tile's result
+//    against gemmBlocked bit for bit, writes BENCH_micro_kernels.json,
+//    and exits non-zero on a differing tile — or, in the full run with a
+//    vector tile dispatched, on a micro-kernel that fails to reach 2x the
+//    blocked kernel's GFLOPS. --smoke shrinks the sizes and skips the
+//    throughput floor (too short to time); it is the tier-1 tripwire and
+//    must pass on portable-only builds too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +36,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <vector>
 
 using namespace fupermod;
@@ -238,38 +239,48 @@ double timePerCall(const std::function<void()> &Run, int MinReps,
 
 int runGflopsPhase(bool Smoke) {
   // Odd-ish sizes exercise the micro-kernel's M- and N-edge paths, not
-  // just full 4x8 tiles.
+  // just full register tiles.
   const std::vector<std::size_t> Sizes =
       Smoke ? std::vector<std::size_t>{64, 100}
             : std::vector<std::size_t>{64, 128, 256, 384};
   const int MinReps = Smoke ? 3 : 5;
   const double MinSeconds = Smoke ? 0.004 : 0.06;
-  const char *Isa = gemmIsaName(gemmMicroIsa());
+  const GemmIsa Dispatched = gemmMicroIsa();
+  const char *Isa = gemmIsaName(Dispatched);
+  const std::vector<GemmIsa> Tiles = gemmSupportedIsas();
 
   std::cout << "=== micro kernels: GEMM throughput (" << (Smoke ? "smoke" : "full")
             << ", micro-kernel isa " << Isa << ") ===\n\n";
 
-  std::vector<double> NaiveG, BlockedG, MicroG;
-  bool BoundOk = true;
-  Table T({"size", "naive(GF)", "blocked(GF)", "micro(GF)", "micro/blocked",
-           "bound_ok"});
+  std::vector<double> NaiveG, BlockedG;
+  std::vector<std::vector<double>> TileG(Tiles.size());
+  // The dispatched tile is the last supported one: gemmMicro's rate.
+  const std::vector<double> &MicroG = TileG.back();
+  bool BitOk = true;
+  std::vector<std::string> Header = {"size", "naive(GF)", "blocked(GF)"};
+  for (GemmIsa T : Tiles)
+    Header.push_back(std::string(gemmIsaName(T)) + "(GF)");
+  Header.push_back("micro/blocked");
+  Header.push_back("bit_identical");
+  Table Tab(Header);
   for (std::size_t N : Sizes) {
     std::vector<double> A(N * N), B(N * N), C0(N * N);
     fillDeterministic(A, 1);
     fillDeterministic(B, 2);
     fillDeterministic(C0, 3);
 
-    // Correctness first: the micro-kernel result must sit within the
-    // a-priori rounding-error bound of the blocked kernel, element by
-    // element (both start from the same C0 so accumulation is included).
-    std::vector<double> Cb = C0, Cm = C0, Bound(N * N);
+    // Correctness first: every tile's result must equal the blocked
+    // kernel's bit for bit (blas/Gemm.h), starting from the same C0 so
+    // the accumulation into C is included.
+    std::vector<double> Cb = C0;
     gemmBlocked(N, N, N, A, B, Cb);
-    gemmMicro(N, N, N, A, B, Cm);
-    gemmAbsErrorBound(N, N, N, A, B, C0, Bound);
     bool Ok = true;
-    for (std::size_t I = 0; I < N * N; ++I)
-      Ok = Ok && std::abs(Cb[I] - Cm[I]) <= Bound[I];
-    BoundOk = BoundOk && Ok;
+    for (GemmIsa T : Tiles) {
+      std::vector<double> Cm = C0;
+      gemmMicroOn(T, N, N, N, A, B, Cm);
+      Ok = Ok && std::memcmp(Cb.data(), Cm.data(), N * N * sizeof(double)) == 0;
+    }
+    BitOk = BitOk && Ok;
 
     double Flops = gemmFlops(N, N, N);
     std::vector<double> C(N * N, 0.0);
@@ -277,25 +288,30 @@ int runGflopsPhase(bool Smoke) {
                             MinSeconds);
     double SB = timePerCall([&] { gemmBlocked(N, N, N, A, B, C); }, MinReps,
                             MinSeconds);
-    double SM = timePerCall([&] { gemmMicro(N, N, N, A, B, C); }, MinReps,
-                            MinSeconds);
     NaiveG.push_back(Flops / SN * 1e-9);
     BlockedG.push_back(Flops / SB * 1e-9);
-    MicroG.push_back(Flops / SM * 1e-9);
-    T.addRow({Table::num(static_cast<std::int64_t>(N)),
-              Table::num(NaiveG.back(), 2), Table::num(BlockedG.back(), 2),
-              Table::num(MicroG.back(), 2),
-              Table::num(MicroG.back() / BlockedG.back(), 2),
-              Ok ? "yes" : "NO"});
+    std::vector<std::string> Row = {Table::num(static_cast<std::int64_t>(N)),
+                                    Table::num(NaiveG.back(), 2),
+                                    Table::num(BlockedG.back(), 2)};
+    for (std::size_t T = 0; T < Tiles.size(); ++T) {
+      double ST = timePerCall(
+          [&] { gemmMicroOn(Tiles[T], N, N, N, A, B, C); }, MinReps,
+          MinSeconds);
+      TileG[T].push_back(Flops / ST * 1e-9);
+      Row.push_back(Table::num(TileG[T].back(), 2));
+    }
+    Row.push_back(Table::num(MicroG.back() / BlockedG.back(), 2));
+    Row.push_back(Ok ? "yes" : "NO");
+    Tab.addRow(Row);
   }
-  T.print(std::cout);
+  Tab.print(std::cout);
 
   double SpeedupVsBlocked = MicroG.back() / BlockedG.back();
   double SpeedupVsNaive = MicroG.back() / NaiveG.back();
-  std::cout << "\nmicro-kernel at " << Sizes.back()
-            << ": " << SpeedupVsBlocked << "x blocked, " << SpeedupVsNaive
-            << "x naive, error bound " << (BoundOk ? "held" : "VIOLATED")
-            << "\n";
+  std::cout << "\nmicro-kernel (" << Isa << ") at " << Sizes.back() << ": "
+            << SpeedupVsBlocked << "x blocked, " << SpeedupVsNaive
+            << "x naive, bit-identical to blocked on every tile: "
+            << (BitOk ? "yes" : "NO") << "\n";
 
   std::FILE *J = std::fopen("BENCH_micro_kernels.json", "w");
   if (J) {
@@ -312,6 +328,10 @@ int runGflopsPhase(bool Smoke) {
     for (std::size_t I = 0; I < Sizes.size(); ++I)
       SizesS += (I ? ", " : "") + std::to_string(Sizes[I]);
     SizesS += "]";
+    std::string TilesS;
+    for (std::size_t T = 0; T < Tiles.size(); ++T)
+      TilesS += std::string(",\n      \"") + gemmIsaName(Tiles[T]) +
+                "\": " + List(TileG[T]);
     std::fprintf(J,
                  "{\n"
                  "  \"bench\": \"micro_kernels\",\n"
@@ -321,29 +341,30 @@ int runGflopsPhase(bool Smoke) {
                  "  \"gflops\": {\n"
                  "    \"naive\": %s,\n"
                  "    \"blocked\": %s,\n"
-                 "    \"micro\": %s\n"
+                 "    \"micro\": %s,\n"
+                 "    \"tiles\": {%s\n    }\n"
                  "  },\n"
                  "  \"speedup_micro_vs_blocked\": %.3f,\n"
                  "  \"speedup_micro_vs_naive\": %.3f,\n"
-                 "  \"error_bound_ok\": %s\n"
+                 "  \"bit_identical\": %s\n"
                  "}\n",
                  Smoke ? "smoke" : "full", Isa, SizesS.c_str(),
                  List(NaiveG).c_str(), List(BlockedG).c_str(),
-                 List(MicroG).c_str(), SpeedupVsBlocked, SpeedupVsNaive,
-                 BoundOk ? "true" : "false");
+                 List(MicroG).c_str(), TilesS.c_str() + 1, SpeedupVsBlocked,
+                 SpeedupVsNaive, BitOk ? "true" : "false");
     std::fclose(J);
     std::cout << "# wrote BENCH_micro_kernels.json\n";
   }
 
-  // Tripwires. The bound gates both modes and both ISAs; the throughput
-  // floor gates only the full run with the AVX2 tile compiled in and
-  // selected (the portable tile promises correctness, not 2x, and smoke
+  // Tripwires. Bit identity gates both modes and every tile; the
+  // throughput floor gates only the full run with a vector tile
+  // dispatched (the portable tile promises correctness, not 2x, and smoke
   // timings are too short to trust).
-  if (!BoundOk) {
-    std::cout << "FAIL: micro-kernel exceeded the error bound\n";
+  if (!BitOk) {
+    std::cout << "FAIL: a micro-kernel tile differs from gemmBlocked\n";
     return 1;
   }
-  if (!Smoke && gemmMicroIsa() == GemmIsa::Avx2 && SpeedupVsBlocked < 2.0) {
+  if (!Smoke && Dispatched != GemmIsa::Portable && SpeedupVsBlocked < 2.0) {
     std::cout << "FAIL: micro-kernel speedup " << SpeedupVsBlocked
               << " < 2x blocked floor\n";
     return 1;

@@ -261,8 +261,6 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
     // from the device profile, scaled by the modelled multithreaded-GEMM
     // speedup.
     auto ComputeStep = [&](StepBuffers &Buf) {
-      if (H == 0 || W == 0)
-        return;
       for (std::size_t I = 0; I < H; ++I)
         std::memcpy(APack.data() + I * BB, Buf.AFrag[I].as<double>().data(),
                     BB * sizeof(double));
@@ -291,7 +289,12 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
       Buf.BReq.resize(W);
     }
 
-    if (!Options.Overlap) {
+    if (R.area() == 0) {
+      // A zero-area rank (a width without a height, or the reverse) owns
+      // no blocks, so it sends no pivots and SendPivots sends it none: it
+      // runs no step loop, since receives posted for the pivots of its
+      // columns or rows would wait forever.
+    } else if (!Options.Overlap) {
       // Serial schedule: send, receive, compute, step by step.
       for (int K = 0; K < N; ++K) {
         SendPivots(K);

@@ -83,7 +83,9 @@ struct MatMulReport {
 };
 
 /// Runs the parallel multiplication on the given cluster; \p Rects (one
-/// per rank) must tile the NBlocks grid.
+/// per rank) must tile the NBlocks grid. Zero-area rectangles are allowed,
+/// also with a non-zero width or height: such a rank owns no blocks,
+/// computes nothing and only joins the Verify gather.
 MatMulReport runParallelMatMul(const Cluster &Platform,
                                std::span<const GridRect> Rects,
                                const MatMulOptions &Options);

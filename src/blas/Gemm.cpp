@@ -12,15 +12,14 @@
 #include <future>
 #include <vector>
 
-// The AVX2 tile is compiled on every x86 compiler that supports
-// per-function target attributes; the TU itself stays baseline, and the
-// tile is only ever *called* after a CPUID check.
+// The vector tiles are compiled on every x86 compiler that supports
+// per-function target attributes and GCC vector extensions; the TU itself
+// stays baseline, and a tile is only ever *called* after a CPUID check.
 #if (defined(__x86_64__) || defined(__i386__)) &&                             \
     (defined(__GNUC__) || defined(__clang__))
-#define FUPERMOD_HAVE_AVX2_TILE 1
-#include <immintrin.h>
+#define FUPERMOD_HAVE_VECTOR_TILES 1
 #else
-#define FUPERMOD_HAVE_AVX2_TILE 0
+#define FUPERMOD_HAVE_VECTOR_TILES 0
 #endif
 
 using namespace fupermod;
@@ -76,13 +75,9 @@ void fupermod::gemmBlocked(std::size_t M, std::size_t N, std::size_t K,
 
 namespace {
 
-/// Register-tile shape: MR rows of C held as NR-wide accumulators. With
-/// AVX2 that is 4 x 2 ymm accumulators plus 2 B vectors and 1 A
-/// broadcast — 11 of 16 vector registers.
-constexpr std::size_t MR = 4;
-constexpr std::size_t NR = 8;
-/// K-strip depth: one packed B panel (KC x NR = 16 KiB) stays L1-resident
-/// while every row block of A streams over it.
+/// K-strip depth: one packed B panel (KC x NR doubles, 16 KiB for the
+/// 8-wide panels, 32 KiB for the 16-wide ones) stays L1-resident while
+/// every row block of A streams over it.
 constexpr std::size_t KC = 256;
 
 /// One register tile: C (MR x NR, row stride Ldc) += A (MR rows at row
@@ -93,8 +88,18 @@ constexpr std::size_t KC = 256;
 using TileFn = void (*)(std::size_t Kb, const double *A, std::size_t Lda,
                         const double *Bp, double *C, std::size_t Ldc);
 
+/// A dispatchable tile: its body, its MR x NR shape (which gemmMicro's
+/// packing loop and scalar edges read) and the ISA it needs.
+struct MicroTile {
+  GemmIsa Isa;
+  TileFn Fn;
+  std::size_t MR, NR;
+};
+
+/// Portable 4 x 8 tile, vectorized by the compiler for the baseline ISA.
 void tilePortable(std::size_t Kb, const double *A, std::size_t Lda,
                   const double *Bp, double *C, std::size_t Ldc) {
+  constexpr std::size_t MR = 4, NR = 8;
   double Acc[MR][NR];
   for (std::size_t R = 0; R < MR; ++R)
     for (std::size_t J = 0; J < NR; ++J)
@@ -113,51 +118,100 @@ void tilePortable(std::size_t Kb, const double *A, std::size_t Lda,
       C[R * Ldc + J] = Acc[R][J];
 }
 
-#if FUPERMOD_HAVE_AVX2_TILE
+#if FUPERMOD_HAVE_VECTOR_TILES
+/// The vector tile body, one template over the vector type: MR rows of C
+/// held as two V accumulators each, so NR = 2 * lanes. Written with GCC
+/// vector extensions rather than intrinsics so the same body compiles
+/// for any width; it is always inlined into a per-ISA wrapper whose
+/// target attribute picks the registers (ymm for AVX2, zmm for AVX-512).
+template <typename V, std::size_t MR>
+__attribute__((always_inline)) inline void
+tileVector(std::size_t Kb, const double *A, std::size_t Lda,
+           const double *Bp, double *C, std::size_t Ldc) {
+  constexpr std::size_t W = sizeof(V) / sizeof(double);
+  constexpr std::size_t NR = 2 * W;
+  V Acc[MR][2];
+#pragma GCC unroll 8
+  for (std::size_t R = 0; R < MR; ++R) {
+    __builtin_memcpy(&Acc[R][0], C + R * Ldc, sizeof(V));
+    __builtin_memcpy(&Acc[R][1], C + R * Ldc + W, sizeof(V));
+  }
+  for (std::size_t L = 0; L < Kb; ++L) {
+    V B0, B1;
+    __builtin_memcpy(&B0, Bp + L * NR, sizeof(V));
+    __builtin_memcpy(&B1, Bp + L * NR + W, sizeof(V));
+#pragma GCC unroll 8
+    for (std::size_t R = 0; R < MR; ++R) {
+      const double AR = A[R * Lda + L];
+      Acc[R][0] = Acc[R][0] + AR * B0;
+      Acc[R][1] = Acc[R][1] + AR * B1;
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t R = 0; R < MR; ++R) {
+    __builtin_memcpy(C + R * Ldc, &Acc[R][0], sizeof(V));
+    __builtin_memcpy(C + R * Ldc + W, &Acc[R][1], sizeof(V));
+  }
+}
+
+using V4d = double __attribute__((vector_size(32)));
+using V8d = double __attribute__((vector_size(64)));
+
+/// 4 x 8 tile: 8 ymm accumulators, 2 B vectors and 1 A broadcast — 11
+/// of 16 vector registers.
 __attribute__((target("avx2"))) void
 tileAvx2(std::size_t Kb, const double *A, std::size_t Lda, const double *Bp,
          double *C, std::size_t Ldc) {
-  __m256d Acc[MR][2];
-  for (std::size_t R = 0; R < MR; ++R) {
-    Acc[R][0] = _mm256_loadu_pd(C + R * Ldc);
-    Acc[R][1] = _mm256_loadu_pd(C + R * Ldc + 4);
-  }
-  for (std::size_t L = 0; L < Kb; ++L) {
-    __m256d B0 = _mm256_loadu_pd(Bp + L * NR);
-    __m256d B1 = _mm256_loadu_pd(Bp + L * NR + 4);
-    for (std::size_t R = 0; R < MR; ++R) {
-      __m256d AR = _mm256_broadcast_sd(A + R * Lda + L);
-      Acc[R][0] = _mm256_add_pd(Acc[R][0], _mm256_mul_pd(AR, B0));
-      Acc[R][1] = _mm256_add_pd(Acc[R][1], _mm256_mul_pd(AR, B1));
-    }
-  }
-  for (std::size_t R = 0; R < MR; ++R) {
-    _mm256_storeu_pd(C + R * Ldc, Acc[R][0]);
-    _mm256_storeu_pd(C + R * Ldc + 4, Acc[R][1]);
-  }
+  tileVector<V4d, 4>(Kb, A, Lda, Bp, C, Ldc);
+}
+
+/// 8 x 16 tile: 16 zmm accumulators, 2 B vectors and 1 A broadcast — 19
+/// of 32 vector registers.
+__attribute__((target("avx512f"))) void
+tileAvx512(std::size_t Kb, const double *A, std::size_t Lda,
+           const double *Bp, double *C, std::size_t Ldc) {
+  tileVector<V8d, 8>(Kb, A, Lda, Bp, C, Ldc);
 }
 #endif
 
-/// CPUID dispatch, decided once per process.
-TileFn resolveTile(GemmIsa &Isa) {
-#if FUPERMOD_HAVE_AVX2_TILE
-  if (__builtin_cpu_supports("avx2")) {
-    Isa = GemmIsa::Avx2;
-    return tileAvx2;
-  }
+/// Every tile this build compiled, portable first.
+constexpr MicroTile CompiledTiles[] = {
+    {GemmIsa::Portable, tilePortable, 4, 8},
+#if FUPERMOD_HAVE_VECTOR_TILES
+    {GemmIsa::Avx2, tileAvx2, 4, 8},
+    {GemmIsa::Avx512, tileAvx512, 8, 16},
 #endif
-  Isa = GemmIsa::Portable;
-  return tilePortable;
+};
+
+bool cpuRuns(GemmIsa Isa) {
+  switch (Isa) {
+  case GemmIsa::Portable:
+    return true;
+#if FUPERMOD_HAVE_VECTOR_TILES
+  case GemmIsa::Avx2:
+    return __builtin_cpu_supports("avx2");
+  case GemmIsa::Avx512:
+    return __builtin_cpu_supports("avx512f");
+#endif
+  default:
+    return false;
+  }
 }
 
+/// CPUID dispatch, decided once per process: the tiles this CPU can run,
+/// and the widest of them.
 struct MicroDispatch {
-  GemmIsa Isa = GemmIsa::Portable;
-  TileFn Tile = nullptr;
-  MicroDispatch() { Tile = resolveTile(Isa); }
+  std::vector<MicroTile> Supported;
+  MicroDispatch() {
+    for (const MicroTile &T : CompiledTiles)
+      if (cpuRuns(T.Isa))
+        Supported.push_back(T);
+  }
+  const MicroTile &best() const { return Supported.back(); }
 };
 
 const MicroDispatch &microDispatch() {
-  static MicroDispatch D;
+  static const MicroDispatch D;
   return D;
 }
 
@@ -180,20 +234,12 @@ void microEdge(std::size_t I0, std::size_t IMax, std::size_t J0,
   }
 }
 
-} // namespace
-
-GemmIsa fupermod::gemmMicroIsa() { return microDispatch().Isa; }
-
-const char *fupermod::gemmIsaName(GemmIsa Isa) {
-  return Isa == GemmIsa::Avx2 ? "avx2" : "portable";
-}
-
-void fupermod::gemmMicro(std::size_t M, std::size_t N, std::size_t K,
-                         std::span<const double> A, std::span<const double> B,
-                         std::span<double> C) {
-  assert(A.size() >= M * K && B.size() >= K * N && C.size() >= M * N &&
-         "matrix buffers too small");
-  TileFn Tile = microDispatch().Tile;
+/// gemmMicro on one tile. B is packed into contiguous K-strip panels of
+/// the tile's NR columns; full MR x NR tiles of C run in registers and
+/// the remainder rows and columns go through microEdge.
+void microOn(const MicroTile &Tile, std::size_t M, std::size_t N,
+             std::size_t K, const double *A, const double *B, double *C) {
+  const std::size_t MR = Tile.MR, NR = Tile.NR;
   const std::size_t MFull = M - M % MR;
   const std::size_t NPanels = N / NR;
   const std::size_t NFull = NPanels * NR;
@@ -210,22 +256,51 @@ void fupermod::gemmMicro(std::size_t M, std::size_t N, std::size_t K,
     const std::size_t Kb = std::min(KC, K - L0);
     for (std::size_t P = 0; P < NPanels; ++P) {
       double *Dst = Packed.data() + P * Kb * NR;
-      const double *Src = B.data() + L0 * N + P * NR;
+      const double *Src = B + L0 * N + P * NR;
       for (std::size_t L = 0; L < Kb; ++L)
         std::copy_n(Src + L * N, NR, Dst + L * NR);
     }
     for (std::size_t I = 0; I < MFull; I += MR) {
-      const double *ARows = A.data() + I * K + L0;
+      const double *ARows = A + I * K + L0;
       for (std::size_t P = 0; P < NPanels; ++P)
-        Tile(Kb, ARows, K, Packed.data() + P * Kb * NR,
-             C.data() + I * N + P * NR, N);
+        Tile.Fn(Kb, ARows, K, Packed.data() + P * Kb * NR, C + I * N + P * NR,
+                N);
       if (NFull < N)
-        microEdge(I, I + MR, NFull, N, L0, Kb, N, K, A.data(), B.data(),
-                  C.data());
+        microEdge(I, I + MR, NFull, N, L0, Kb, N, K, A, B, C);
     }
     if (MFull < M)
-      microEdge(MFull, M, 0, N, L0, Kb, N, K, A.data(), B.data(), C.data());
+      microEdge(MFull, M, 0, N, L0, Kb, N, K, A, B, C);
   }
+}
+
+} // namespace
+
+GemmIsa fupermod::gemmMicroIsa() { return microDispatch().best().Isa; }
+
+const char *fupermod::gemmIsaName(GemmIsa Isa) {
+  switch (Isa) {
+  case GemmIsa::Avx2:
+    return "avx2";
+  case GemmIsa::Avx512:
+    return "avx512";
+  default:
+    return "portable";
+  }
+}
+
+std::vector<GemmIsa> fupermod::gemmSupportedIsas() {
+  std::vector<GemmIsa> Isas;
+  for (const MicroTile &T : microDispatch().Supported)
+    Isas.push_back(T.Isa);
+  return Isas;
+}
+
+void fupermod::gemmMicro(std::size_t M, std::size_t N, std::size_t K,
+                         std::span<const double> A, std::span<const double> B,
+                         std::span<double> C) {
+  assert(A.size() >= M * K && B.size() >= K * N && C.size() >= M * N &&
+         "matrix buffers too small");
+  microOn(microDispatch().best(), M, N, K, A.data(), B.data(), C.data());
 }
 
 void fupermod::gemmAbsErrorBound(std::size_t M, std::size_t N, std::size_t K,
@@ -245,22 +320,24 @@ void fupermod::gemmAbsErrorBound(std::size_t M, std::size_t N, std::size_t K,
     }
 }
 
-void fupermod::gemmParallel(std::size_t M, std::size_t N, std::size_t K,
-                            std::span<const double> A,
-                            std::span<const double> B, std::span<double> C,
-                            ThreadPool &Pool, std::size_t Tile,
-                            bool UseMicro) {
+namespace {
+
+/// gemmParallel's row banding, with each band on \p Micro's tile, or on
+/// gemmBlocked when \p Micro is null.
+void bandedOn(const MicroTile *Micro, std::size_t M, std::size_t N,
+              std::size_t K, std::span<const double> A,
+              std::span<const double> B, std::span<double> C, ThreadPool &Pool,
+              std::size_t Tile) {
   assert(A.size() >= M * K && B.size() >= K * N && C.size() >= M * N &&
          "matrix buffers too small");
   assert(Tile > 0 && "tile must be positive");
-  // The band kernel: either the cache-tiled scalar GEMM or the dispatched
-  // micro-kernel. Both compute every C element with a fixed per-element
+  // Both band kernels compute every C element with a fixed per-element
   // accumulation order, so the banded result is bit-identical to one
   // serial call of the same kernel.
   auto Band = [&](std::size_t Rows, std::span<const double> ABand,
                   std::span<double> CBand) {
-    if (UseMicro)
-      gemmMicro(Rows, N, K, ABand, B, CBand);
+    if (Micro)
+      microOn(*Micro, Rows, N, K, ABand.data(), B.data(), CBand.data());
     else
       gemmBlocked(Rows, N, K, ABand, B, CBand, Tile);
   };
@@ -289,6 +366,35 @@ void fupermod::gemmParallel(std::size_t M, std::size_t N, std::size_t K,
   Band(BandRows, A.first(BandRows * K), C.first(BandRows * N));
   for (auto &F : Pending)
     F.get();
+}
+
+} // namespace
+
+void fupermod::gemmParallel(std::size_t M, std::size_t N, std::size_t K,
+                            std::span<const double> A,
+                            std::span<const double> B, std::span<double> C,
+                            ThreadPool &Pool, std::size_t Tile,
+                            bool UseMicro) {
+  bandedOn(UseMicro ? &microDispatch().best() : nullptr, M, N, K, A, B, C,
+           Pool, Tile);
+}
+
+bool fupermod::gemmMicroOn(GemmIsa Isa, std::size_t M, std::size_t N,
+                           std::size_t K, std::span<const double> A,
+                           std::span<const double> B, std::span<double> C,
+                           ThreadPool *Pool, std::size_t Tile) {
+  assert(A.size() >= M * K && B.size() >= K * N && C.size() >= M * N &&
+         "matrix buffers too small");
+  for (const MicroTile &T : microDispatch().Supported) {
+    if (T.Isa != Isa)
+      continue;
+    if (Pool)
+      bandedOn(&T, M, N, K, A, B, C, *Pool, Tile);
+    else
+      microOn(T, M, N, K, A.data(), B.data(), C.data());
+    return true;
+  }
+  return false;
 }
 
 double fupermod::gemmThreadSpeedup(unsigned Threads) {

@@ -12,10 +12,11 @@
 ///  - gemmNaive: straightforward triple loop, the stand-in for the
 ///    reference Netlib BLAS whose speed function Fig. 2 plots;
 ///  - gemmBlocked: cache-tiled variant, the stand-in for an optimised BLAS;
-///  - gemmMicro: register-blocked micro-kernel (packed B panels, 4x8
-///    register tiles) dispatched at runtime between an AVX2 implementation
-///    (compiled in every x86 GCC/Clang build) and a portable
-///    `#pragma omp simd` tile — the stand-in for a tuned vendor BLAS;
+///  - gemmMicro: register-blocked micro-kernel (packed B panels, register
+///    tiles of C) dispatched at runtime between three tiles: an AVX-512
+///    8x16 tile and an AVX2 4x8 tile (both compiled in every x86
+///    GCC/Clang build) and a portable `#pragma omp simd` 4x8 tile — the
+///    stand-in for a tuned vendor BLAS;
 ///  - gemmParallel: gemmBlocked (or gemmMicro) over horizontal row bands
 ///    on a ThreadPool, the stand-in for a multithreaded BLAS.
 ///
@@ -24,7 +25,7 @@
 /// order, starting from the C input, with a separately rounded multiply
 /// and add per product; the library is compiled with -ffp-contract=off so
 /// no multiply-add is ever fused. For identical inputs gemmBlocked,
-/// gemmMicro on either tile and gemmParallel in either mode produce
+/// gemmMicro on any tile and gemmParallel in either mode produce
 /// bit-identical results: tiling, register tiles, vector lanes and row
 /// bands only reorder *independent* elements. gemmNaive skips the zero
 /// entries of A, which can change the sign of a zero (or a NaN from
@@ -38,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace fupermod {
 
@@ -54,23 +56,41 @@ void gemmBlocked(std::size_t M, std::size_t N, std::size_t K,
                  std::span<double> C, std::size_t Tile = 64);
 
 /// C += A * B through the register-blocked micro-kernel: B is packed into
-/// contiguous K-strip panels of 8 columns, and 4x8 tiles of C are held in
-/// registers across the whole K strip (one load/store of C per strip
-/// instead of one per multiply). The tile body is chosen once per process
-/// by CPUID dispatch: AVX2 intrinsics (multiply, then add) when the CPU
-/// supports them, else a portable `#pragma omp simd` tile. Bit-identical
+/// contiguous K-strip panels of NR columns, and MR x NR tiles of C are
+/// held in registers across the whole K strip (one load/store of C per
+/// strip instead of one per multiply); remainder rows and columns are
+/// finished by a scalar edge loop. The tile, and with it MR x NR, is
+/// chosen once per process by CPUID dispatch: the AVX-512 8x16 tile when
+/// the CPU has AVX-512F, else the AVX2 4x8 tile when it has AVX2, else
+/// the portable 4x8 tile. Every tile multiplies, then adds. Bit-identical
 /// to gemmBlocked on every ISA.
 void gemmMicro(std::size_t M, std::size_t N, std::size_t K,
                std::span<const double> A, std::span<const double> B,
                std::span<double> C);
 
-/// Instruction set the micro-kernel dispatcher resolved to on this
-/// machine (decided once, on first use or query).
-enum class GemmIsa { Portable, Avx2 };
+/// Instruction set of a micro-kernel tile.
+enum class GemmIsa { Portable, Avx2, Avx512 };
+
+/// The tile the micro-kernel dispatcher resolved to on this machine
+/// (decided once, on first use or query).
 GemmIsa gemmMicroIsa();
 
-/// Human-readable name of \p Isa ("portable", "avx2").
+/// Human-readable name of \p Isa ("portable", "avx2", "avx512").
 const char *gemmIsaName(GemmIsa Isa);
+
+/// Every tile this build compiled and this CPU can run, narrowest first;
+/// the last one is gemmMicroIsa().
+std::vector<GemmIsa> gemmSupportedIsas();
+
+/// Test and bench entry to the dispatcher's per-ISA tiles: gemmMicro on
+/// the tile of \p Isa — row-banded like gemmParallel(UseMicro), with
+/// bands rounded to \p Tile rows, when \p Pool is given — instead of the
+/// dispatched one. Returns false, with C untouched, when this CPU cannot
+/// run that tile.
+bool gemmMicroOn(GemmIsa Isa, std::size_t M, std::size_t N, std::size_t K,
+                 std::span<const double> A, std::span<const double> B,
+                 std::span<double> C, ThreadPool *Pool = nullptr,
+                 std::size_t Tile = 64);
 
 /// C += A * B with the M dimension split into row bands executed on
 /// \p Pool (plus the calling thread's share). Each band runs gemmBlocked

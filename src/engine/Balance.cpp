@@ -176,54 +176,3 @@ bool BalancedLoop::balanceEqualized(Comm &C, double IterStart,
     publishStatsDelta(C, StatsBefore, Eq.stats());
   return true;
 }
-
-std::vector<std::int64_t> fupermod::engine::contiguousStarts(const Dist &D,
-                                                             std::int64_t
-                                                                 Base) {
-  return D.contiguousStarts(Base);
-}
-
-void fupermod::engine::redistributeContiguous(
-    Comm &C, std::span<const std::int64_t> OldStarts,
-    std::span<const std::int64_t> NewStarts, int Tag,
-    const RangeCopier &Copy) {
-  int P = C.size();
-  int Me = C.rank();
-  assert(OldStarts.size() == static_cast<std::size_t>(P) + 1 &&
-         NewStarts.size() == static_cast<std::size_t>(P) + 1 &&
-         "start arrays must have one entry per rank plus the end");
-  std::int64_t MyStart = OldStarts[static_cast<std::size_t>(Me)];
-  std::int64_t MyEnd = OldStarts[static_cast<std::size_t>(Me) + 1];
-  std::int64_t NewStart = NewStarts[static_cast<std::size_t>(Me)];
-  std::int64_t NewEnd = NewStarts[static_cast<std::size_t>(Me) + 1];
-
-  // Ship overlaps of my old range with everyone's new range (buffered
-  // sends first: deadlock-free).
-  for (int Q = 0; Q < P; ++Q) {
-    std::int64_t Lo =
-        std::max(MyStart, NewStarts[static_cast<std::size_t>(Q)]);
-    std::int64_t Hi =
-        std::min(MyEnd, NewStarts[static_cast<std::size_t>(Q) + 1]);
-    if (Lo >= Hi)
-      continue;
-    if (Q == Me) {
-      Copy.Keep(Lo, Hi);
-      continue;
-    }
-    std::vector<double> Payload = Copy.Pack(Lo, Hi);
-    C.send<double>(Q, Tag, Payload);
-  }
-  // Receive the units my new range takes over from others.
-  for (int Q = 0; Q < P; ++Q) {
-    if (Q == Me)
-      continue;
-    std::int64_t Lo =
-        std::max(NewStart, OldStarts[static_cast<std::size_t>(Q)]);
-    std::int64_t Hi =
-        std::min(NewEnd, OldStarts[static_cast<std::size_t>(Q) + 1]);
-    if (Lo >= Hi)
-      continue;
-    std::vector<double> Payload = C.recv<double>(Q, Tag);
-    Copy.Unpack(Lo, Hi, Payload);
-  }
-}

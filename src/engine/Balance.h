@@ -7,16 +7,15 @@
 /// \file
 /// The engine-side driver of the apps' dynamic load-balancing loops. The
 /// iterative applications (Jacobi, the stencil) used to each re-implement
-/// the same three pieces around DynamicContext:
+/// the same pieces around DynamicContext:
 ///
 ///  - the imbalance-threshold test (allreduce the iteration times, only
 ///    rebalance when (max - min) / max clears the threshold),
 ///  - the balanceIterate call feeding the measured iteration into the
-///    partial models,
-///  - the contiguous-range redistribution shipping overlaps of the old
-///    and new per-rank ranges (buffered sends first, then receives).
+///    partial models.
 ///
-/// BalancedLoop and redistributeContiguous() factor those out. The
+/// BalancedLoop factors those out; the data itself moves through the
+/// dist layer (redistributeIfChanged over a dist::PartitionedVector). The
 /// collective sequence (allreduce order, message order, payload sizes) is
 /// exactly the apps' historical one, so virtual-time traces are
 /// bit-identical to the pre-engine code.
@@ -29,9 +28,7 @@
 #include "core/Dynamic.h"
 
 #include <cstdint>
-#include <functional>
-#include <span>
-#include <vector>
+#include <string>
 
 namespace fupermod {
 
@@ -124,35 +121,6 @@ private:
   DynamicContext Ctx;
   std::uint64_t DistEpoch = 0;
 };
-
-/// Callbacks moving units between the old and new local storage during a
-/// contiguous-range redistribution. Ranges are in global unit
-/// coordinates.
-struct RangeCopier {
-  /// Serializes old-local units [Lo, Hi) into one message payload.
-  std::function<std::vector<double>(std::int64_t Lo, std::int64_t Hi)> Pack;
-  /// Places units [Lo, Hi) received as \p Payload into the new storage.
-  std::function<void(std::int64_t Lo, std::int64_t Hi,
-                     std::span<const double> Payload)>
-      Unpack;
-  /// Moves the self-overlap [Lo, Hi) from the old to the new storage.
-  std::function<void(std::int64_t Lo, std::int64_t Hi)> Keep;
-};
-
-/// Ships the overlaps between the old and new contiguous per-rank ranges
-/// (prefix-start arrays of size P + 1), collective on \p C: buffered
-/// sends of my old units that now belong to others, then receives of the
-/// units my new range takes over — the deadlock-free order the apps
-/// always used. \p Tag tags every message.
-void redistributeContiguous(Comm &C, std::span<const std::int64_t> OldStarts,
-                            std::span<const std::int64_t> NewStarts, int Tag,
-                            const RangeCopier &Copy);
-
-/// Prefix starts [Start[r], Start[r+1]) of a distribution's contiguous
-/// ranges, beginning at \p Base (0 for row indices, 1 for grid-interior
-/// coordinates).
-std::vector<std::int64_t> contiguousStarts(const Dist &D,
-                                           std::int64_t Base = 0);
 
 } // namespace engine
 } // namespace fupermod

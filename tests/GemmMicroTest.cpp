@@ -7,7 +7,7 @@
 // banding in gemmParallel never changes per-element accumulation order,
 // so the parallel micro path is bit-identical too; and the ISA is
 // resolved once per process by CPUID dispatch — whichever tile body runs,
-// both properties hold.
+// both properties hold, so every tile the CPU supports is checked.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,18 +75,21 @@ TEST(GemmMicro, WithinErrorBoundOfBlocked) {
 }
 
 TEST(GemmMicro, BitIdenticalToBlocked) {
-  // Seeded random shapes: remainder rows (M % 4 != 0) and columns
-  // (N % 8 != 0) exercise the scalar edges, K = 257 crosses the KC = 256
-  // strip boundary, and C starts non-zero so the C input is the first
-  // term of every accumulation.
+  // Seeded random shapes: remainder rows (M % 8 != 0) and columns
+  // (N % 16 != 0) exercise the scalar edges of the 4x8 and the 8x16
+  // tiles, K = 257 crosses the KC = 256 strip boundary, and C starts
+  // non-zero so the C input is the first term of every accumulation.
+  // Every tile this CPU can run is checked, not only the dispatched one,
+  // serial and row-banded.
   SplitMix64 Rng(0xb17e);
   ThreadPool Pool(3);
   const std::size_t Ks[] = {1, 33, 64, 257};
-  for (std::size_t Case = 0; Case < 32; ++Case) {
-    // Every M % 4 meets every K; N % 8 cycles through all remainders.
-    const std::size_t M = 4 * (1 + Rng.next() % 16) + Case % 4;
-    const std::size_t N = 8 * (Rng.next() % 9) + 1 + Case % 8;
-    const std::size_t K = Ks[(Case / 4) % 4];
+  const std::vector<GemmIsa> Isas = gemmSupportedIsas();
+  for (std::size_t Case = 0; Case < 64; ++Case) {
+    // Every M % 8 meets every K; N % 16 cycles through all remainders.
+    const std::size_t M = 8 * (1 + Rng.next() % 8) + Case % 8;
+    const std::size_t N = 16 * (Rng.next() % 5) + 1 + (5 * Case) % 16;
+    const std::size_t K = Ks[(Case / 8) % 4];
     std::vector<double> A(M * K), B(K * N), C0(M * N);
     fillDeterministic(A, 3 * Case + 1);
     fillDeterministic(B, 3 * Case + 2);
@@ -103,6 +106,18 @@ TEST(GemmMicro, BitIdenticalToBlocked) {
     EXPECT_EQ(0, std::memcmp(Blocked.data(), Banded.data(), Bytes))
         << "pooled micro " << M << "x" << N << "x" << K << " on "
         << gemmIsaName(gemmMicroIsa());
+
+    for (GemmIsa Isa : Isas) {
+      std::vector<double> OnTile = C0, OnTileBanded = C0;
+      ASSERT_TRUE(gemmMicroOn(Isa, M, N, K, A, B, OnTile));
+      ASSERT_TRUE(gemmMicroOn(Isa, M, N, K, A, B, OnTileBanded, &Pool,
+                              /*Tile=*/16));
+      EXPECT_EQ(0, std::memcmp(Blocked.data(), OnTile.data(), Bytes))
+          << "tile " << gemmIsaName(Isa) << " " << M << "x" << N << "x" << K;
+      EXPECT_EQ(0, std::memcmp(Blocked.data(), OnTileBanded.data(), Bytes))
+          << "pooled tile " << gemmIsaName(Isa) << " " << M << "x" << N
+          << "x" << K;
+    }
   }
 }
 
@@ -125,11 +140,19 @@ TEST(GemmMicro, ParallelBandingIsBitIdenticalToSerial) {
 
 TEST(GemmMicro, DispatchReportsAResolvedIsa) {
   GemmIsa Isa = gemmMicroIsa();
-  EXPECT_TRUE(Isa == GemmIsa::Portable || Isa == GemmIsa::Avx2);
+  EXPECT_TRUE(Isa == GemmIsa::Portable || Isa == GemmIsa::Avx2 ||
+              Isa == GemmIsa::Avx512);
   // The resolution is per-process and stable.
   EXPECT_EQ(gemmMicroIsa(), Isa);
   EXPECT_STREQ(gemmIsaName(GemmIsa::Portable), "portable");
   EXPECT_STREQ(gemmIsaName(GemmIsa::Avx2), "avx2");
+  EXPECT_STREQ(gemmIsaName(GemmIsa::Avx512), "avx512");
+  // The portable tile always runs, and the dispatcher picks the widest
+  // tile the CPU supports.
+  const std::vector<GemmIsa> Isas = gemmSupportedIsas();
+  ASSERT_FALSE(Isas.empty());
+  EXPECT_EQ(Isas.front(), GemmIsa::Portable);
+  EXPECT_EQ(Isas.back(), Isa);
 }
 
 TEST(GemmMicro, GemmKernelRunsMicroModeSerialAndPooled) {

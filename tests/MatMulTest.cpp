@@ -127,6 +127,26 @@ TEST(ParallelMatMul, VerifiedProductIsExactlyTheBlockedReference) {
   }
 }
 
+TEST(ParallelMatMul, ZeroAreaRankDoesNotHang) {
+  // Rank 2's rectangle is one block wide and zero blocks high, rank 3's
+  // the reverse: neither owns a block, so nobody sends them pivots and
+  // neither may wait for any, in either schedule.
+  Cluster Cl = makeUniformCluster(4, 100.0);
+  Cl.NoiseSigma = 0.0;
+  std::vector<GridRect> Rects = {
+      {0, 0, 4, 2, 0}, {0, 2, 4, 2, 1}, {0, 4, 1, 0, 2}, {4, 0, 0, 3, 3}};
+  MatMulOptions O = smallOptions();
+  O.NBlocks = 4;
+  for (bool Overlap : {false, true}) {
+    O.Overlap = Overlap;
+    MatMulReport R = runParallelMatMul(Cl, Rects, O);
+    EXPECT_EQ(R.MaxError, 0.0) << "overlap=" << Overlap;
+    EXPECT_EQ(R.ComputeTimes[2], 0.0);
+    EXPECT_EQ(R.ComputeTimes[3], 0.0);
+    EXPECT_GT(R.Makespan, 0.0);
+  }
+}
+
 TEST(ParallelMatMul, BalancedBeatsEvenOnHeterogeneousCluster) {
   Cluster Cl = makeUniformCluster(2, 200.0);
   Cl.Devices[1] = makeConstantProfile("slow", 40.0); // 5x slower.

@@ -21,8 +21,9 @@
 //   --threads T            GEMM threads per measurement (native source:
 //                          models the device as a T-thread processor)
 //   --micro                use the register-blocked micro-kernel (tuned
-//                          vendor BLAS stand-in; AVX2 when the CPU
-//                          supports it, bit-identical to the blocked one)
+//                          vendor BLAS stand-in; AVX-512 or AVX2 when the
+//                          CPU supports them, bit-identical to the
+//                          blocked one)
 //   --source two-device|hcl|hcl-nogpu
 //                          sample the simulated device --rank R
 //   --rank all             build every rank's model in one run; outputs
