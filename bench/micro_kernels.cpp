@@ -9,15 +9,20 @@
 //  - --gflops (or --smoke): a hand-rolled GEMM throughput phase that
 //    pits gemmNaive / gemmBlocked against every micro-kernel tile this
 //    CPU supports (portable, AVX2, AVX-512), checks each tile's result
-//    against gemmBlocked bit for bit, writes BENCH_micro_kernels.json,
-//    and exits non-zero on a differing tile — or, in the full run with a
-//    vector tile dispatched, on a micro-kernel that fails to reach 2x the
-//    blocked kernel's GFLOPS. --smoke shrinks the sizes and skips the
-//    throughput floor (too short to time); it is the tier-1 tripwire and
-//    must pass on portable-only builds too.
+//    against gemmBlocked bit for bit, then a Jacobi sweep phase that
+//    times jacobiSweep against the row-by-row loop it replaced on a
+//    400 x 1536 band (ns per matrix element) and compares the two with
+//    memcmp. It writes BENCH_micro_kernels.json and exits non-zero on a
+//    differing tile or sweep — or, in the full run with a vector tile
+//    dispatched, on a micro-kernel that fails to reach 2x the blocked
+//    kernel's GFLOPS. The sweep has no speed floor: on a shared host the
+//    stolen time moves it too much for one. --smoke shrinks the GEMM
+//    sizes and skips the throughput floor (too short to time); it is the
+//    tier-1 tripwire and must pass on portable-only builds too.
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/Jacobi.h"
 #include "blas/Gemm.h"
 #include "core/Partitioners.h"
 #include "interp/AkimaSpline.h"
@@ -237,6 +242,75 @@ double timePerCall(const std::function<void()> &Run, int MinReps,
   return Elapsed / Reps;
 }
 
+/// The Jacobi sweep phase's outcome.
+struct SweepRace {
+  std::int64_t Rows = 0;
+  int N = 0;
+  double RowByRowNs = 0.0, SweepNs = 0.0; // Per matrix element.
+  bool BitIdentical = false;
+};
+
+/// Times jacobiSweep against the one-row-at-a-time loop it replaced, on a
+/// rank's share of a jacobi_drift-sized system (a 400-row band of N =
+/// 1536 in the middle of the matrix), and checks the two bit for bit.
+SweepRace runSweepPhase(bool Smoke) {
+  SweepRace Race;
+  Race.Rows = 400;
+  Race.N = 1536;
+  const int N = Race.N;
+  const std::int64_t FirstRow = 577; // Mid-matrix, not a multiple of 8.
+  const std::size_t Stride = static_cast<std::size_t>(N) + 1;
+  std::vector<double> Sys(static_cast<std::size_t>(Race.Rows) * Stride);
+  for (std::int64_t R = 0; R < Race.Rows; ++R)
+    for (int Col = 0; Col <= N; ++Col)
+      Sys[static_cast<std::size_t>(R) * Stride +
+          static_cast<std::size_t>(Col)] =
+          Col < N ? jacobiMatrixEntry(N, static_cast<int>(FirstRow + R), Col)
+                  : jacobiRhsEntry(N, static_cast<int>(FirstRow + R));
+  std::vector<double> X(static_cast<std::size_t>(N));
+  fillDeterministic(X, 4);
+  std::vector<double> Ref(static_cast<std::size_t>(Race.Rows));
+  std::vector<double> Out(Ref.size());
+
+  auto RowByRow = [&] {
+    for (std::int64_t R = 0; R < Race.Rows; ++R) {
+      const double *ARow = Sys.data() + static_cast<std::size_t>(R) * Stride;
+      int Row = static_cast<int>(FirstRow + R);
+      double Sum = 0.0;
+      for (int Col = 0; Col < N; ++Col)
+        if (Col != Row)
+          Sum += ARow[Col] * X[static_cast<std::size_t>(Col)];
+      Ref[static_cast<std::size_t>(R)] = (ARow[N] - Sum) / ARow[Row];
+    }
+    benchmark::DoNotOptimize(Ref.data());
+    benchmark::ClobberMemory();
+  };
+  auto Sweep = [&] {
+    jacobiSweep(N, FirstRow, Race.Rows, Sys.data(), Stride, X, Out);
+    benchmark::DoNotOptimize(Out.data());
+    benchmark::ClobberMemory();
+  };
+
+  const int MinReps = Smoke ? 3 : 20;
+  const double MinSeconds = Smoke ? 0.004 : 0.1;
+  const double Elems = static_cast<double>(Race.Rows) * N;
+  Race.RowByRowNs = timePerCall(RowByRow, MinReps, MinSeconds) / Elems * 1e9;
+  Race.SweepNs = timePerCall(Sweep, MinReps, MinSeconds) / Elems * 1e9;
+  Race.BitIdentical =
+      std::memcmp(Ref.data(), Out.data(), Ref.size() * sizeof(double)) == 0;
+
+  std::cout << "\n=== micro kernels: Jacobi sweep (" << Race.Rows << " x "
+            << N << " band) ===\n\n";
+  Table Tab({"kernel", "ns/element", "bit_identical"});
+  Tab.addRow({"row-by-row", Table::num(Race.RowByRowNs, 3), "reference"});
+  Tab.addRow({"jacobiSweep", Table::num(Race.SweepNs, 3),
+              Race.BitIdentical ? "yes" : "NO"});
+  Tab.print(std::cout);
+  std::cout << "\njacobiSweep: " << Race.RowByRowNs / Race.SweepNs
+            << "x the row-by-row loop\n";
+  return Race;
+}
+
 int runGflopsPhase(bool Smoke) {
   // Odd-ish sizes exercise the micro-kernel's M- and N-edge paths, not
   // just full register tiles.
@@ -313,6 +387,8 @@ int runGflopsPhase(bool Smoke) {
             << "x naive, bit-identical to blocked on every tile: "
             << (BitOk ? "yes" : "NO") << "\n";
 
+  const SweepRace Sweep = runSweepPhase(Smoke);
+
   std::FILE *J = std::fopen("BENCH_micro_kernels.json", "w");
   if (J) {
     auto List = [&](const std::vector<double> &V) {
@@ -346,22 +422,38 @@ int runGflopsPhase(bool Smoke) {
                  "  },\n"
                  "  \"speedup_micro_vs_blocked\": %.3f,\n"
                  "  \"speedup_micro_vs_naive\": %.3f,\n"
-                 "  \"bit_identical\": %s\n"
+                 "  \"bit_identical\": %s,\n"
+                 "  \"jacobi_sweep\": {\n"
+                 "    \"rows\": %lld,\n"
+                 "    \"n\": %d,\n"
+                 "    \"ns_per_element\": {\"row_by_row\": %.3f, "
+                 "\"sweep\": %.3f},\n"
+                 "    \"speedup\": %.3f,\n"
+                 "    \"bit_identical\": %s\n"
+                 "  }\n"
                  "}\n",
                  Smoke ? "smoke" : "full", Isa, SizesS.c_str(),
                  List(NaiveG).c_str(), List(BlockedG).c_str(),
                  List(MicroG).c_str(), TilesS.c_str() + 1, SpeedupVsBlocked,
-                 SpeedupVsNaive, BitOk ? "true" : "false");
+                 SpeedupVsNaive, BitOk ? "true" : "false",
+                 static_cast<long long>(Sweep.Rows), Sweep.N,
+                 Sweep.RowByRowNs, Sweep.SweepNs,
+                 Sweep.RowByRowNs / Sweep.SweepNs,
+                 Sweep.BitIdentical ? "true" : "false");
     std::fclose(J);
     std::cout << "# wrote BENCH_micro_kernels.json\n";
   }
 
-  // Tripwires. Bit identity gates both modes and every tile; the
-  // throughput floor gates only the full run with a vector tile
-  // dispatched (the portable tile promises correctness, not 2x, and smoke
-  // timings are too short to trust).
+  // Tripwires. Bit identity gates both modes, every tile and the Jacobi
+  // sweep; the throughput floor gates only the full run with a vector
+  // tile dispatched (the portable tile promises correctness, not 2x, and
+  // smoke timings are too short to trust).
   if (!BitOk) {
     std::cout << "FAIL: a micro-kernel tile differs from gemmBlocked\n";
+    return 1;
+  }
+  if (!Sweep.BitIdentical) {
+    std::cout << "FAIL: jacobiSweep differs from the row-by-row sweep\n";
     return 1;
   }
   if (!Smoke && Dispatched != GemmIsa::Portable && SpeedupVsBlocked < 2.0) {

@@ -41,6 +41,84 @@ double fupermod::jacobiRhsEntry(int N, int Row) {
   return 2.0 * unitFromHash(H) - 1.0;
 }
 
+void fupermod::jacobiSweep(int N, std::int64_t FirstRow, std::int64_t Rows,
+                           const double *Sys, std::size_t Stride,
+                           std::span<const double> X, std::span<double> Out) {
+  assert(FirstRow >= 0 && FirstRow + Rows <= N &&
+         Stride > static_cast<std::size_t>(N) &&
+         Out.size() >= static_cast<std::size_t>(Rows) &&
+         X.size() >= static_cast<std::size_t>(N) && "invalid sweep band");
+  const double *XP = X.data();
+  std::int64_t R = 0;
+  // Eight rows per pass over X: eight independent add chains instead of
+  // one, each still summing its own row in ascending column order. The
+  // diagonal block [Row, Row + 8) is split out so that the two long runs
+  // around it carry no per-column test.
+  for (; R + 8 <= Rows; R += 8) {
+    const double *A0 = Sys + static_cast<std::size_t>(R) * Stride;
+    const double *A1 = A0 + Stride, *A2 = A1 + Stride, *A3 = A2 + Stride;
+    const double *A4 = A3 + Stride, *A5 = A4 + Stride, *A6 = A5 + Stride;
+    const double *A7 = A6 + Stride;
+    const int Row = static_cast<int>(FirstRow + R);
+    double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
+    double S4 = 0.0, S5 = 0.0, S6 = 0.0, S7 = 0.0;
+    auto AddColumns = [&](int Lo, int Hi) {
+      for (int Col = Lo; Col < Hi; ++Col) {
+        const double XC = XP[Col];
+        S0 += A0[Col] * XC;
+        S1 += A1[Col] * XC;
+        S2 += A2[Col] * XC;
+        S3 += A3[Col] * XC;
+        S4 += A4[Col] * XC;
+        S5 += A5[Col] * XC;
+        S6 += A6[Col] * XC;
+        S7 += A7[Col] * XC;
+      }
+    };
+    AddColumns(0, Row);
+    // Lane L skips its own diagonal, column Row + L.
+    for (int L = 0; L < 8; ++L) {
+      const int Col = Row + L;
+      const double XC = XP[Col];
+      if (L != 0)
+        S0 += A0[Col] * XC;
+      if (L != 1)
+        S1 += A1[Col] * XC;
+      if (L != 2)
+        S2 += A2[Col] * XC;
+      if (L != 3)
+        S3 += A3[Col] * XC;
+      if (L != 4)
+        S4 += A4[Col] * XC;
+      if (L != 5)
+        S5 += A5[Col] * XC;
+      if (L != 6)
+        S6 += A6[Col] * XC;
+      if (L != 7)
+        S7 += A7[Col] * XC;
+    }
+    AddColumns(Row + 8, N);
+    double *O = Out.data() + R;
+    O[0] = (A0[N] - S0) / A0[Row];
+    O[1] = (A1[N] - S1) / A1[Row + 1];
+    O[2] = (A2[N] - S2) / A2[Row + 2];
+    O[3] = (A3[N] - S3) / A3[Row + 3];
+    O[4] = (A4[N] - S4) / A4[Row + 4];
+    O[5] = (A5[N] - S5) / A5[Row + 5];
+    O[6] = (A6[N] - S6) / A6[Row + 6];
+    O[7] = (A7[N] - S7) / A7[Row + 7];
+  }
+  for (; R < Rows; ++R) {
+    const double *ARow = Sys + static_cast<std::size_t>(R) * Stride;
+    const int Row = static_cast<int>(FirstRow + R);
+    double Sum = 0.0;
+    for (int Col = 0; Col < N; ++Col)
+      if (Col != Row)
+        Sum += ARow[Col] * XP[Col];
+    Out[static_cast<std::size_t>(R)] = (ARow[N] - Sum) / ARow[Row];
+  }
+}
+
 JacobiReport fupermod::runJacobi(const Cluster &Platform,
                                  const JacobiOptions &Options) {
   int P = Platform.size();
@@ -128,17 +206,8 @@ JacobiReport fupermod::runJacobi(const Cluster &Platform,
 
       // Local sweep: x_new over owned rows (real arithmetic).
       std::vector<double> XNewLocal(static_cast<std::size_t>(MyRows), 0.0);
-      for (std::int64_t R = 0; R < MyRows; ++R) {
-        int Row = static_cast<int>(MyStart + R);
-        std::span<const double> Unit = Sys.unit(MyStart + R);
-        const double *ARow = Unit.data();
-        double Sum = 0.0;
-        for (int Col = 0; Col < N; ++Col)
-          if (Col != Row)
-            Sum += ARow[Col] * X[static_cast<std::size_t>(Col)];
-        XNewLocal[static_cast<std::size_t>(R)] =
-            (Unit[static_cast<std::size_t>(N)] - Sum) / ARow[Row];
-      }
+      jacobiSweep(N, MyStart, MyRows, Sys.local().data(),
+                  static_cast<std::size_t>(N) + 1, X, XNewLocal);
 
       // Virtual computation cost (one unit = one row). A hard-failed
       // device produces no timing; the rank reports the failure to the

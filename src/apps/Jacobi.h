@@ -26,6 +26,9 @@
 #include "mpp/Group.h"
 #include "sim/Cluster.h"
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,6 +113,20 @@ double jacobiMatrixEntry(int N, int Row, int Col);
 
 /// Right-hand side entry \p Row of the test system.
 double jacobiRhsEntry(int N, int Row);
+
+/// One Jacobi sweep over the \p Rows consecutive rows that start at global
+/// row \p FirstRow: Out[R] = (b - sum over Col != Row of a[Col] * X[Col])
+/// / a[Row] for Row = FirstRow + R. Row R's unit [a_0 .. a_(N-1) | b]
+/// starts at Sys + R * Stride (Stride >= N + 1), the layout of
+/// PartitionedVector's local storage. Each row's sum adds its products in
+/// ascending column order from 0.0 and skips the diagonal (it does not
+/// multiply it by zero, which would read 0 * inf = NaN once X is not
+/// finite), so the result is the same bit for bit however the rows are
+/// grouped: the sweep runs 8 rows per pass over X, one accumulator each,
+/// and the last Rows % 8 rows one at a time.
+void jacobiSweep(int N, std::int64_t FirstRow, std::int64_t Rows,
+                 const double *Sys, std::size_t Stride,
+                 std::span<const double> X, std::span<double> Out);
 
 } // namespace fupermod
 

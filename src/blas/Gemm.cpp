@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cfloat>
 #include <cmath>
 #include <future>
 #include <vector>
@@ -301,23 +300,6 @@ void fupermod::gemmMicro(std::size_t M, std::size_t N, std::size_t K,
   assert(A.size() >= M * K && B.size() >= K * N && C.size() >= M * N &&
          "matrix buffers too small");
   microOn(microDispatch().best(), M, N, K, A.data(), B.data(), C.data());
-}
-
-void fupermod::gemmAbsErrorBound(std::size_t M, std::size_t N, std::size_t K,
-                                 std::span<const double> A,
-                                 std::span<const double> B,
-                                 std::span<const double> C0,
-                                 std::span<double> Bound) {
-  assert(Bound.size() >= M * N && "bound buffer too small");
-  for (std::size_t I = 0; I < M; ++I)
-    for (std::size_t J = 0; J < N; ++J) {
-      long double Mag = std::fabs(C0[I * N + J]);
-      for (std::size_t L = 0; L < K; ++L)
-        Mag += std::fabs(static_cast<long double>(A[I * K + L]) *
-                         B[L * N + J]);
-      Bound[I * N + J] = 2.0 * static_cast<double>(K + 1) * DBL_EPSILON *
-                         static_cast<double>(Mag);
-    }
 }
 
 namespace {

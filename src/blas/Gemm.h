@@ -104,16 +104,6 @@ void gemmParallel(std::size_t M, std::size_t N, std::size_t K,
                   std::span<double> C, ThreadPool &Pool,
                   std::size_t Tile = 64, bool UseMicro = false);
 
-/// Elementwise a-priori bound on the difference between two GEMMs that
-/// accumulate the same K products (plus the C input) in any order, each
-/// with at most one rounding of eps per operation: they differ by at most
-/// 2 * (K + 1) * eps * (|C0[i][j]| + sum_l |A[i][l]*B[l][j]|). The
-/// magnitude sum is accumulated here in long double. O(M*N*K) — a test
-/// utility, not a kernel.
-void gemmAbsErrorBound(std::size_t M, std::size_t N, std::size_t K,
-                       std::span<const double> A, std::span<const double> B,
-                       std::span<const double> C0, std::span<double> Bound);
-
 /// Modelled speedup of gemmParallel with \p Threads workers: Amdahl's law
 /// with a small serial fraction covering band fork/join and the shared
 /// memory bus. Used to charge virtual compute time for multithreaded

@@ -2,8 +2,7 @@
 //
 // The micro-kernel's contract (blas/Gemm.h): gemmMicro performs, per C
 // element, the same l-ascending sequence of separately rounded multiplies
-// and adds as gemmBlocked, so it is bit-identical to it on every ISA (and
-// so elementwise within gemmAbsErrorBound(), checked independently);
+// and adds as gemmBlocked, so it is bit-identical to it on every ISA;
 // banding in gemmParallel never changes per-element accumulation order,
 // so the parallel micro path is bit-identical too; and the ISA is
 // resolved once per process by CPUID dispatch — whichever tile body runs,
@@ -19,77 +18,46 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <vector>
 
 using namespace fupermod;
 
-namespace {
-
-struct Shape {
-  std::size_t M, N, K;
-};
-
-/// Runs gemmBlocked and gemmMicro from the same inputs and returns the
-/// elementwise error bound alongside both results.
-struct KernelPair {
-  std::vector<double> Blocked, Micro, Bound;
-};
-
-KernelPair runPair(Shape S, std::uint64_t Seed) {
-  std::vector<double> A(S.M * S.K), B(S.K * S.N), C0(S.M * S.N);
-  fillDeterministic(A, Seed);
-  fillDeterministic(B, Seed + 1);
-  fillDeterministic(C0, Seed + 2);
-
-  KernelPair R;
-  R.Blocked = C0;
-  R.Micro = C0;
-  R.Bound.resize(S.M * S.N);
-  gemmBlocked(S.M, S.N, S.K, A, B, R.Blocked);
-  gemmMicro(S.M, S.N, S.K, A, B, R.Micro);
-  gemmAbsErrorBound(S.M, S.N, S.K, A, B, C0, R.Bound);
-  return R;
-}
-
-} // namespace
-
-TEST(GemmMicro, WithinErrorBoundOfBlocked) {
-  // Edge shapes on purpose: remainder rows (M % 4 != 0), remainder
-  // columns (N % 8 != 0), K = 1 (a single multiply-add per element), and
-  // a tile-aligned square for the fast path.
-  const Shape Shapes[] = {
-      {17, 23, 31}, {4, 8, 1}, {5, 9, 7}, {64, 64, 64}, {33, 40, 5},
-      {1, 1, 1},    {3, 70, 2},
-  };
-  std::uint64_t Seed = 0x5eed;
-  for (Shape S : Shapes) {
-    KernelPair R = runPair(S, Seed++);
-    for (std::size_t I = 0; I < S.M * S.N; ++I)
-      ASSERT_LE(std::abs(R.Blocked[I] - R.Micro[I]), R.Bound[I])
-          << "element " << I << " of " << S.M << "x" << S.N << "x" << S.K
-          << " exceeds the a-priori error bound";
-  }
-}
-
 TEST(GemmMicro, BitIdenticalToBlocked) {
   // Seeded random shapes: remainder rows (M % 8 != 0) and columns
   // (N % 16 != 0) exercise the scalar edges of the 4x8 and the 8x16
   // tiles, K = 257 crosses the KC = 256 strip boundary, and C starts
   // non-zero so the C input is the first term of every accumulation.
+  // Fixed edge shapes follow: one multiply-add per element ({4, 8, 1},
+  // {1, 1, 1}), fewer rows than a tile ({5, 9, 7}, {3, 70, 2}), odd
+  // remainders ({17, 23, 31}, {33, 40, 5}) and a tile-aligned square.
   // Every tile this CPU can run is checked, not only the dispatched one,
   // serial and row-banded.
+  struct Shape {
+    std::size_t M, N, K;
+  };
+  std::vector<Shape> Shapes;
   SplitMix64 Rng(0xb17e);
-  ThreadPool Pool(3);
   const std::size_t Ks[] = {1, 33, 64, 257};
-  const std::vector<GemmIsa> Isas = gemmSupportedIsas();
   for (std::size_t Case = 0; Case < 64; ++Case) {
     // Every M % 8 meets every K; N % 16 cycles through all remainders.
     const std::size_t M = 8 * (1 + Rng.next() % 8) + Case % 8;
     const std::size_t N = 16 * (Rng.next() % 5) + 1 + (5 * Case) % 16;
-    const std::size_t K = Ks[(Case / 8) % 4];
+    Shapes.push_back({M, N, Ks[(Case / 8) % 4]});
+  }
+  Shapes.insert(Shapes.end(), {{17, 23, 31},
+                               {4, 8, 1},
+                               {5, 9, 7},
+                               {64, 64, 64},
+                               {33, 40, 5},
+                               {1, 1, 1},
+                               {3, 70, 2}});
+
+  ThreadPool Pool(3);
+  const std::vector<GemmIsa> Isas = gemmSupportedIsas();
+  for (std::size_t Case = 0; Case < Shapes.size(); ++Case) {
+    const auto [M, N, K] = Shapes[Case];
     std::vector<double> A(M * K), B(K * N), C0(M * N);
     fillDeterministic(A, 3 * Case + 1);
     fillDeterministic(B, 3 * Case + 2);
@@ -124,7 +92,7 @@ TEST(GemmMicro, BitIdenticalToBlocked) {
 TEST(GemmMicro, ParallelBandingIsBitIdenticalToSerial) {
   // Row bands write disjoint rows and never reorder any element's
   // accumulation, so the pooled micro path must match serial gemmMicro
-  // exactly — not just within the bound.
+  // exactly.
   const std::size_t M = 61, N = 40, K = 33;
   std::vector<double> A(M * K), B(K * N), C0(M * N);
   fillDeterministic(A, 7);

@@ -3,11 +3,15 @@
 #include "apps/Jacobi.h"
 
 #include "core/Metrics.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 using namespace fupermod;
 
@@ -221,4 +225,105 @@ TEST(JacobiRegression, BalancedRunBitIdenticalToPreContainerApp) {
   ASSERT_TRUE(R.Converged);
   EXPECT_EQ(R.Rebalances, 6);
   EXPECT_EQ(reportHash(R), 7772390316824469943ull);
+}
+
+namespace {
+
+/// The row-at-a-time sweep jacobiSweep replaced: one add chain per row,
+/// ascending columns, the diagonal skipped by a per-column test.
+void sweepRowByRow(int N, std::int64_t FirstRow, std::int64_t Rows,
+                   const double *Sys, std::size_t Stride,
+                   const std::vector<double> &X, std::vector<double> &Out) {
+  for (std::int64_t R = 0; R < Rows; ++R) {
+    const double *ARow = Sys + static_cast<std::size_t>(R) * Stride;
+    int Row = static_cast<int>(FirstRow + R);
+    double Sum = 0.0;
+    for (int Col = 0; Col < N; ++Col)
+      if (Col != Row)
+        Sum += ARow[Col] * X[static_cast<std::size_t>(Col)];
+    Out[static_cast<std::size_t>(R)] = (ARow[N] - Sum) / ARow[Row];
+  }
+}
+
+/// Rows [FirstRow, FirstRow + Rows) of the test system's [A | b] units,
+/// Stride doubles apart (padding past b holds NaN, which must not leak).
+std::vector<double> band(int N, std::int64_t FirstRow, std::int64_t Rows,
+                         std::size_t Stride) {
+  std::vector<double> Sys(static_cast<std::size_t>(Rows) * Stride,
+                          std::numeric_limits<double>::quiet_NaN());
+  for (std::int64_t R = 0; R < Rows; ++R) {
+    double *Unit = Sys.data() + static_cast<std::size_t>(R) * Stride;
+    int Row = static_cast<int>(FirstRow + R);
+    for (int Col = 0; Col < N; ++Col)
+      Unit[Col] = jacobiMatrixEntry(N, Row, Col);
+    Unit[N] = jacobiRhsEntry(N, Row);
+  }
+  return Sys;
+}
+
+std::vector<double> randomX(int N, std::uint64_t Seed) {
+  SplitMix64 Rng(Seed);
+  std::vector<double> X(static_cast<std::size_t>(N));
+  for (double &V : X)
+    V = Rng.uniform(-3.0, 3.0);
+  return X;
+}
+
+} // namespace
+
+// The 8-row sweep keeps every row's own summation order, so it must equal
+// the row-by-row loop bit for bit: every Rows % 8 residue, bands at the
+// top, middle and bottom of the matrix (the diagonal block on every lane,
+// up to the last columns), N both a multiple of 8 and not, and a padded
+// stride.
+TEST(JacobiSweep, BitIdenticalToRowByRow) {
+  for (int N : {37, 96, 200}) {
+    std::vector<double> X = randomX(N, static_cast<std::uint64_t>(N));
+    for (std::int64_t Rows = 1; Rows <= 19; ++Rows) {
+      for (std::int64_t FirstRow : {std::int64_t{0}, (N - Rows) / 2 + 1,
+                                    static_cast<std::int64_t>(N) - Rows}) {
+        for (std::size_t Pad : {std::size_t{0}, std::size_t{3}}) {
+          std::size_t Stride = static_cast<std::size_t>(N) + 1 + Pad;
+          std::vector<double> Sys = band(N, FirstRow, Rows, Stride);
+          std::vector<double> Want(static_cast<std::size_t>(Rows));
+          std::vector<double> Got(static_cast<std::size_t>(Rows));
+          sweepRowByRow(N, FirstRow, Rows, Sys.data(), Stride, X, Want);
+          jacobiSweep(N, FirstRow, Rows, Sys.data(), Stride, X, Got);
+          EXPECT_EQ(0, std::memcmp(Want.data(), Got.data(),
+                                   Want.size() * sizeof(double)))
+              << "N " << N << ", rows [" << FirstRow << ", "
+              << FirstRow + Rows << "), stride " << Stride;
+        }
+      }
+    }
+  }
+}
+
+// An infinite X entry sits on its own row's diagonal: skipping the
+// diagonal keeps that row finite, where multiplying it by a zeroed
+// diagonal would give 0 * inf = NaN. Every lane of a group and the
+// remainder rows are checked.
+TEST(JacobiSweep, DiagonalSkipKeepsInfinityOut) {
+  const int N = 37;
+  const std::int64_t FirstRow = 5, Rows = 19;
+  const std::size_t Stride = static_cast<std::size_t>(N) + 1;
+  std::vector<double> Sys = band(N, FirstRow, Rows, Stride);
+  for (std::int64_t R = 0; R < Rows; ++R) {
+    std::vector<double> X = randomX(N, 7);
+    X[static_cast<std::size_t>(FirstRow + R)] =
+        std::numeric_limits<double>::infinity();
+    std::vector<double> Want(static_cast<std::size_t>(Rows));
+    std::vector<double> Got(static_cast<std::size_t>(Rows));
+    sweepRowByRow(N, FirstRow, Rows, Sys.data(), Stride, X, Want);
+    jacobiSweep(N, FirstRow, Rows, Sys.data(), Stride, X, Got);
+    double Own = Got[static_cast<std::size_t>(R)];
+    EXPECT_TRUE(std::isfinite(Own)) << "row " << FirstRow + R;
+    EXPECT_EQ(0, std::memcmp(&Own, &Want[static_cast<std::size_t>(R)],
+                             sizeof(double)))
+        << "row " << FirstRow + R;
+    // Every other row picks the infinity up exactly as the reference does.
+    EXPECT_EQ(0, std::memcmp(Want.data(), Got.data(),
+                             Want.size() * sizeof(double)))
+        << "row " << FirstRow + R;
+  }
 }
